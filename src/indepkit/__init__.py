@@ -37,7 +37,6 @@ from .errors import (
     SchemaError,
     SearchBoundsError,
 )
-from .flow import FlowNetwork, max_flow, max_flow_assignment
 from .implication import (
     SearchBounds,
     constants_of,
@@ -50,7 +49,6 @@ from .implication import (
 from .model_check import (
     CheckReport,
     DEFAULT_ORACLE_BOUND,
-    build_flow_network,
     check_atom,
     check_cia_fast,
     check_cia_oracle,
@@ -69,7 +67,6 @@ from .relation import (
     domains_from_json,
     domains_to_json,
     infer_domains,
-    is_complete_row,
     read_relation,
     relation_from_csv,
     relation_to_csv,

@@ -76,7 +76,6 @@ class RunConfig:
     max_rows: int = 4
     domain_size: int = 2
     output: str = "text"
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("oracle_bound", "attribute_limit", "max_attributes", "max_rows"):
@@ -99,7 +98,6 @@ _INT_SETTINGS = (
     "max_attributes",
     "max_rows",
     "domain_size",
-    "seed",
 )
 
 
@@ -148,7 +146,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-attributes", dest="max_attributes", type=int)
     parser.add_argument("--max-rows", dest="max_rows", type=int)
     parser.add_argument("--domain-size", dest="domain_size", type=int)
-    parser.add_argument("--seed", dest="seed", type=int)
     parser.add_argument("--output", dest="output", choices=("text", "json"))
     parser.add_argument("--json", action="store_true", help="shortcut for --output json")
 
@@ -211,11 +208,6 @@ def _route_implies(premises, goal, sound_only: bool, limit: int):
     raise FragmentError("non-disjoint mixed sets are sound-only; pass --sound-only")
 
 
-def _counterexample_paths(path: str) -> tuple[str, str]:
-    base = path[:-4] if path.endswith(".csv") else path
-    return (base + ".csv", base + ".domains.json")
-
-
 def _cmd_implies(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     with open(args.constraints, encoding="utf-8") as fh:
@@ -242,11 +234,9 @@ def _cmd_implies(args: argparse.Namespace) -> int:
         if witness is None:
             lines.append("no counterexample within the configured bounds")
         else:
-            csv_path, dom_path = _counterexample_paths(args.counterexample)
-            with open(csv_path, "w", encoding="utf-8") as fh:
-                fh.write(relation_to_csv(witness))
-            with open(dom_path, "w", encoding="utf-8") as fh:
-                fh.write(domains_to_json(witness.schema))
+            csv_path, dom_path = _write_relation_files(
+                witness, args.counterexample.removesuffix(".csv")
+            )
             lines.append(f"counterexample written to {csv_path} and {dom_path}")
             payload["counterexample"] = relation_to_csv(witness)
     _emit(config, lines, payload)

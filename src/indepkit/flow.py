@@ -1,90 +1,69 @@
-"""Directed flow networks with integral capacities and a max-flow solver."""
+"""Assignment of unit-demand items to slots of integral capacity.
+
+This is the one matching kernel of the package: the unary possible-atom
+decider assigns missing product cells to null pools, and the support search
+assigns support pairs to tuple copies.  Both are bipartite max-flow problems
+whose source edges carry one unit per item, so augmenting paths alternate
+between items and slots and need no general flow network.
+"""
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Hashable
-
-from .errors import SchemaError
+from typing import Hashable, Sequence
 
 
 @dataclass(frozen=True)
 class FlowNetwork:
-    """A directed graph with integral edge capacities, a source, and a sink."""
+    """Items each needing one unit, slots holding ``capacities[s]`` items,
+    and the (item index, slot index) pairs saying which slot may take which
+    item.  The labels in ``items`` and ``slots`` are carried for the caller."""
 
-    nodes: tuple[Hashable, ...]
-    edges: tuple[tuple[Hashable, Hashable, int], ...]
-    source: Hashable
-    sink: Hashable
-
-    def __post_init__(self):
-        node_set = set(self.nodes)
-        if len(node_set) != len(self.nodes):
-            raise SchemaError("flow network lists a node twice")
-        if self.source == self.sink:
-            raise SchemaError("source and sink must differ")
-        if self.source not in node_set or self.sink not in node_set:
-            raise SchemaError("source and sink must be nodes")
-        for u, v, cap in self.edges:
-            if u not in node_set or v not in node_set:
-                raise SchemaError("edge endpoint is not a node")
-            if v == self.source:
-                raise SchemaError("no edge may enter the source")
-            if u == self.sink:
-                raise SchemaError("no edge may leave the sink")
-            if not isinstance(cap, int) or cap < 0:
-                raise SchemaError("capacities must be non-negative integers")
+    items: Sequence[Hashable]
+    slots: Sequence[Hashable]
+    capacities: Sequence[int]
+    edges: tuple[tuple[int, int], ...]
 
 
-def max_flow_assignment(
-    network: FlowNetwork,
-) -> tuple[int, dict[tuple[Hashable, Hashable], int]]:
-    """Maximum flow value plus per-edge flow, found with shortest augmenting
-    paths (breadth-first, ties broken by edge creation order)."""
-    residual: dict[tuple[Hashable, Hashable], int] = {}
-    adjacency: dict[Hashable, list[Hashable]] = {u: [] for u in network.nodes}
-    capacity: dict[tuple[Hashable, Hashable], int] = {}
-    for u, v, cap in network.edges:
-        capacity[(u, v)] = capacity.get((u, v), 0) + cap
-        if v not in adjacency[u]:
-            adjacency[u].append(v)
-        if u not in adjacency[v]:
-            adjacency[v].append(u)
-        residual[(u, v)] = residual.get((u, v), 0) + cap
-        residual.setdefault((v, u), 0)
-
-    total = 0
-    while True:
-        parent: dict[Hashable, Hashable] = {network.source: network.source}
-        queue = deque([network.source])
-        while queue and network.sink not in parent:
-            u = queue.popleft()
-            for v in adjacency[u]:
-                if v not in parent and residual.get((u, v), 0) > 0:
-                    parent[v] = u
-                    queue.append(v)
-        if network.sink not in parent:
-            break
-        path = []
-        node = network.sink
-        while node != network.source:
-            path.append((parent[node], node))
-            node = parent[node]
-        bottleneck = min(residual[(u, v)] for u, v in path)
-        for u, v in path:
-            residual[(u, v)] -= bottleneck
-            residual[(v, u)] += bottleneck
-        total += bottleneck
-
-    flows = {
-        (u, v): cap - residual[(u, v)]
-        for (u, v), cap in capacity.items()
-        if cap - residual[(u, v)] > 0
-    }
-    return total, flows
-
-
-def max_flow(network: FlowNetwork) -> int:
-    """Exact integral maximum flow value."""
-    return max_flow_assignment(network)[0]
+def max_flow_assignment(network: FlowNetwork) -> list[int] | None:
+    """Slot index of every item, or ``None`` as soon as one item cannot be
+    placed.  Items are placed in order, each along a shortest augmenting path
+    found breadth-first (ties broken by edge order); earlier items may move
+    to other slots but stay placed, so a failure is final."""
+    adjacency: list[list[int]] = [[] for _ in network.items]
+    for item, slot in network.edges:
+        adjacency[item].append(slot)
+    room = list(network.capacities)
+    holders: list[list[int]] = [[] for _ in room]
+    slot_of: list[int] = [-1] * len(adjacency)
+    for start in range(len(adjacency)):
+        reached_from: dict[int, int] = {}  # slot -> item whose edge reached it
+        frontier = [start]
+        free = -1
+        while frontier and free < 0:
+            next_frontier: list[int] = []
+            for item in frontier:
+                for slot in adjacency[item]:
+                    if slot in reached_from:
+                        continue
+                    reached_from[slot] = item
+                    if room[slot]:
+                        free = slot
+                        break
+                    next_frontier.extend(holders[slot])
+                if free >= 0:
+                    break
+            frontier = next_frontier
+        if free < 0:
+            return None
+        room[free] -= 1
+        slot = free
+        while slot >= 0:
+            item = reached_from[slot]
+            previous = slot_of[item]
+            slot_of[item] = slot
+            holders[slot].append(item)
+            if previous >= 0:
+                holders[previous].remove(item)
+            slot = previous
+    return slot_of

@@ -6,10 +6,15 @@ exact fast path:
 
 * certain atoms reduce to constancy of a side or plain independence, because
   a grounding of an incomplete projection always escapes multiset inclusion;
-* unary possible atoms become a max-flow question on a bipartite network
-  between tuples and the cross product of the non-null column values;
+* unary possible atoms become an assignment question: every cell of the
+  product of the non-null column values that no complete tuple covers takes
+  one copy from a null pool ``(a, *)``, ``(*, b)`` or ``(*, *)``;
 * general possible atoms run a depth-first search over candidate support
-  sets, pruned by a counting bound and by bipartite-matching feasibility.
+  sets, pruned by a counting bound and by assigning support pairs to tuple
+  copies.
+
+Both assignments run on the one kernel in ``indepkit.flow``, and every
+witness is finished by ``ground``, which fills the nulls left over.
 """
 
 from __future__ import annotations
@@ -25,9 +30,6 @@ from .flow import FlowNetwork, max_flow_assignment
 from .relation import NULL, Relation, Schema, relation_to_csv
 
 DEFAULT_ORACLE_BOUND = 2**20
-
-SOURCE = "source"
-SINK = "sink"
 
 METHOD_ORACLE = "oracle"
 METHOD_IA_DIRECT = "ia_direct"
@@ -144,24 +146,46 @@ def check_cia_fast(r: Relation, x: Iterable[str], y: Iterable[str]) -> bool:
 # -- grounding oracle ------------------------------------------------------
 
 
-def _oracle_gate(r: Relation, bound: int) -> None:
-    n = r.count_groundings()
+def ground(
+    schema: Schema,
+    rows: Iterable[Sequence[str]],
+    counts: Iterable[int] | None = None,
+    fixed: dict[int, str] | None = None,
+) -> Relation:
+    """The relation of the given rows with every remaining null in column j
+    set to ``fixed[j]``, or else to the column's first domain value."""
+    fixed = fixed or {}
+    fill = [fixed.get(j, schema.domains[j][0]) for j in range(len(schema.domains))]
+    grounded = [
+        tuple(fill[j] if v is NULL else v for j, v in enumerate(row)) for row in rows
+    ]
+    return Relation.from_rows(schema, grounded, counts, validate=False)
+
+
+def _oracle(
+    r: Relation, x: Iterable[str], y: Iterable[str], bound: int, want: bool
+) -> CheckReport:
+    """Enumerate the groundings of the X∪Y columns until the plain atom
+    evaluates to ``want`` on one; that grounding is the witness and the
+    verdict is ``want``, otherwise the verdict is ``not want``."""
+    xi, yi, oi = _split_indices(r.schema, x, y)
+    cols = xi + yi + oi
+    n = r.count_groundings(cols)
     if n > bound:
         raise OracleInfeasibleError(
             f"relation has {n} groundings, above the oracle bound of {bound}"
         )
-
-
-def _fill_defaults(
-    schema: Schema, rows: Iterable[Sequence[str]]
-) -> Relation:
-    """Ground any remaining nulls with the first domain value per column."""
-    domains = schema.domains
-    filled = [
-        tuple(v if v != NULL else domains[j][0] for j, v in enumerate(row))
-        for row in rows
-    ]
-    return Relation.from_rows(schema, filled, validate=False)
+    examined = 0
+    for rows in r.grounding_assignments(cols):
+        examined += 1
+        if _ia_on_rows(rows, xi, yi, oi) == want:
+            return CheckReport(
+                want,
+                METHOD_ORACLE,
+                stats={"groundings": examined},
+                witness=ground(r.schema, rows),
+            )
+    return CheckReport(not want, METHOD_ORACLE, stats={"groundings": examined})
 
 
 def cia_oracle_report(
@@ -172,19 +196,7 @@ def cia_oracle_report(
 ) -> CheckReport:
     """Conjunction of the plain check over all groundings; on refutation the
     witness is the first failing grounding."""
-    xi, yi, oi = _split_indices(r.schema, x, y)
-    _oracle_gate(r, bound)
-    examined = 0
-    for rows in r.grounding_assignments(xi + yi + oi):
-        examined += 1
-        if not _ia_on_rows(rows, xi, yi, oi):
-            return CheckReport(
-                False,
-                METHOD_ORACLE,
-                stats={"groundings": examined},
-                witness=_fill_defaults(r.schema, rows),
-            )
-    return CheckReport(True, METHOD_ORACLE, stats={"groundings": examined})
+    return _oracle(r, x, y, bound, want=False)
 
 
 def check_cia_oracle(
@@ -203,143 +215,92 @@ def check_pia_oracle(
     bound: int = DEFAULT_ORACLE_BOUND,
 ) -> CheckReport:
     """Existential grounding check, returning the first witnessing grounding."""
-    xi, yi, oi = _split_indices(r.schema, x, y)
-    _oracle_gate(r, bound)
-    examined = 0
-    for rows in r.grounding_assignments(xi + yi + oi):
-        examined += 1
-        if _ia_on_rows(rows, xi, yi, oi):
-            return CheckReport(
-                True,
-                METHOD_ORACLE,
-                stats={"groundings": examined},
-                witness=_fill_defaults(r.schema, rows),
-            )
-    return CheckReport(False, METHOD_ORACLE, stats={"groundings": examined})
+    return _oracle(r, x, y, bound, want=True)
 
 
-# -- unary possible atoms via max flow --------------------------------------
+# -- unary possible atoms: pooled assignment --------------------------------
 
 
 def build_flow_network(r: Relation, a: str, b: str) -> FlowNetwork:
-    """Bipartite network between the distinct tuples of the projection onto
-    the two columns and the cross product of their non-null values: source
-    edges carry tuple multiplicities, a tuple reaches the product elements it
-    can ground to, and each product element must be hit exactly once."""
+    """Assignment network for a unary possible atom.  The items are the cells
+    of the product of the non-null values of a and b that no complete tuple
+    covers; the slots are the null pools ``(va, *)``, ``(*, vb)`` and
+    ``(*, *)``, each holding its tuple copies.  A cell may take a copy from
+    its row pool, its column pool or the wildcard pool."""
     if a == b:
         raise ValueError("two distinct attributes are required")
-    rab = r.project((a, b))
-    ai, bi = rab.schema.index(a), rab.schema.index(b)
-    avals = rab.distinct_nonnull(a)
-    bvals = rab.distinct_nonnull(b)
+    ia, ib = r.schema.index(a), r.schema.index(b)
+    avals = r.distinct_nonnull(a)
+    bvals = r.distinct_nonnull(b)
     if not avals or not bvals:
         raise ValueError(f"column {a if not avals else b!r} has no non-null value")
-    tuple_nodes = [("t", row) for row in rab.rows]
-    cell_nodes = [("x", (va, vb)) for va in avals for vb in bvals]
-    edges: list[tuple[object, object, int]] = []
-    for node, count in zip(tuple_nodes, rab.counts):
-        edges.append((SOURCE, node, count))
-    for node in tuple_nodes:
-        row = node[1]
-        for cell in cell_nodes:
-            va, vb = cell[1]
-            if row[ai] in (NULL, va) and row[bi] in (NULL, vb):
-                edges.append((node, cell, 1))
-    for cell in cell_nodes:
-        edges.append((cell, SINK, 1))
-    return FlowNetwork(
-        nodes=tuple([SOURCE, *tuple_nodes, *cell_nodes, SINK]),
-        edges=tuple(edges),
-        source=SOURCE,
-        sink=SINK,
-    )
-
-
-def _ground_constant_column(r: Relation, attrs: Iterable[str]) -> Relation:
-    """Ground the given columns to a single value each (the observed value if
-    any, else the first domain value) and every other null to the first
-    domain value."""
-    fixed: dict[int, str] = {}
-    for a in attrs:
-        j = r.schema.index(a)
-        vals = r.distinct_nonnull(a)
-        fixed[j] = vals[0] if vals else r.schema.domains[j][0]
-    rows = [
-        tuple(
-            (fixed.get(j, r.schema.domains[j][0]) if v == NULL else v)
-            for j, v in enumerate(row)
-        )
-        for row in r.rows
-    ]
-    return Relation.from_rows(r.schema, rows, r.counts, validate=False)
+    covered: set[tuple] = set()
+    pools: dict[tuple, int] = {}
+    for row, count in zip(r.rows, r.counts):
+        key = (row[ia], row[ib])
+        if key[0] is NULL or key[1] is NULL:
+            pools[key] = pools.get(key, 0) + count
+        else:
+            covered.add(key)
+    slot_index = {key: s for s, key in enumerate(pools)}
+    cells = [(va, vb) for va in avals for vb in bvals if (va, vb) not in covered]
+    edges = []
+    for item, (va, vb) in enumerate(cells):
+        for key in ((va, NULL), (NULL, vb), (NULL, NULL)):
+            if key in slot_index:
+                edges.append((item, slot_index[key]))
+    return FlowNetwork(tuple(cells), tuple(pools), tuple(pools.values()), tuple(edges))
 
 
 def check_pia_unary(r: Relation, a: str, b: str) -> CheckReport:
     """Possible independence of two single attributes, decided in polynomial
-    time: the atom holds exactly when the maximum flow saturates the cross
-    product of the non-null column values."""
-    r.schema.index(a), r.schema.index(b)
+    time: the atom holds exactly when every product cell of the non-null
+    column values that no complete tuple covers takes a distinct copy from a
+    null pool able to ground to it."""
+    ia, ib = r.schema.index(a), r.schema.index(b)
     if a == b:
         vals = r.distinct_nonnull(a)
-        verdict = len(vals) <= 1
-        witness = _ground_constant_column(r, [a]) if verdict else None
-        return CheckReport(verdict, METHOD_PIA_FLOW, stats={"constancy": True}, witness=witness)
+        if len(vals) > 1:
+            return CheckReport(False, METHOD_PIA_FLOW, stats={"constancy": True})
+        witness = ground(r.schema, r.rows, r.counts, {ia: vals[0]} if vals else None)
+        return CheckReport(True, METHOD_PIA_FLOW, stats={"constancy": True}, witness=witness)
     if r.row_count == 0:
         return CheckReport(True, METHOD_PIA_FLOW, stats={}, witness=r)
     avals = r.distinct_nonnull(a)
     bvals = r.distinct_nonnull(b)
     if not avals or not bvals:
         # an all-null column grounds to a constant, which makes the atom hold
-        empty = a if not avals else b
         return CheckReport(
             True,
             METHOD_PIA_FLOW,
-            stats={"constant_column": empty},
-            witness=_ground_constant_column(r, [empty]),
+            stats={"constant_column": a if not avals else b},
+            witness=ground(r.schema, r.rows, r.counts),
         )
     network = build_flow_network(r, a, b)
-    value, flows = max_flow_assignment(network)
-    target = len(avals) * len(bvals)
-    stats = {"flow": value, "target": target}
-    if value < target:
+    assignment = max_flow_assignment(network)
+    stats = {"target": len(avals) * len(bvals), "missing": len(network.items)}
+    if assignment is None:
         return CheckReport(False, METHOD_PIA_FLOW, stats=stats)
 
-    # Rebuild a witnessing grounding from the saturating flow: every product
-    # element is assigned one tuple copy, remaining copies ground to any
-    # element they are compatible with.
-    ia, ib = r.schema.index(a), r.schema.index(b)
-    # positions of a and b within the projected rows (projection keeps
-    # schema attribute order, which may swap the argument order)
-    pa, pb = (0, 1) if ia < ib else (1, 0)
-    by_projection: dict[tuple, list[tuple[str, str]]] = {}
-    for node, cell, cap in network.edges:
-        if (
-            isinstance(node, tuple)
-            and node[0] == "t"
-            and flows.get((node, cell), 0) > 0
-        ):
-            by_projection.setdefault((node[1][pa], node[1][pb]), []).append(cell[1])
-    grounded: list[tuple[str, ...]] = []
-    grounded_counts: list[int] = []
+    # Each pool grounds one copy to each cell assigned to it; its remaining
+    # copies, like every other null, ground inside the product.
+    cells_of: dict[tuple, list[tuple[str, str]]] = {}
+    for cell, slot in zip(network.items, assignment):
+        cells_of.setdefault(network.slots[slot], []).append(cell)
+    rows: list[Sequence[str]] = []
+    counts: list[int] = []
     for row, count in zip(r.rows, r.counts):
-        key = (row[ia], row[ib])
-        queue = by_projection.get(key, [])
-        for _ in range(count):
-            if queue:
-                va, vb = queue.pop(0)
-            else:
-                va = row[ia] if row[ia] != NULL else avals[0]
-                vb = row[ib] if row[ib] != NULL else bvals[0]
+        cells = cells_of.get((row[ia], row[ib]), [])
+        while cells and count:
             new = list(row)
-            new[ia], new[ib] = va, vb
-            grounded.append(
-                tuple(
-                    v if v != NULL else r.schema.domains[j][0]
-                    for j, v in enumerate(new)
-                )
-            )
-            grounded_counts.append(1)
-    witness = Relation.from_rows(r.schema, grounded, grounded_counts, validate=False)
+            new[ia], new[ib] = cells.pop()
+            rows.append(new)
+            counts.append(1)
+            count -= 1
+        if count:
+            rows.append(row)
+            counts.append(count)
+    witness = ground(r.schema, rows, counts, {ia: avals[0], ib: bvals[0]})
     return CheckReport(True, METHOD_PIA_FLOW, stats=stats, witness=witness)
 
 
@@ -380,12 +341,12 @@ class _PiaSearch:
 
     The state is a pair of candidate support sets (one per side).  Complete
     side-tuples force initial members; a row incompatible with the current
-    sets branches over its possible groundings; a bipartite matching between
-    support pairs and tuple copies prunes states that cannot cover the
-    product (supersets only add pairs, so infeasibility is final)."""
+    sets branches over its possible groundings; an assignment of support
+    pairs to tuple copies prunes states that cannot cover the product
+    (supersets only add pairs, so infeasibility is final).  ``result`` holds
+    the witness rows, grounded on the two sides only."""
 
     def __init__(self, r: Relation, x_cols: tuple[int, ...], y_cols: tuple[int, ...]):
-        self.r = r
         self.rows = r.rows
         self.counts = r.counts
         self.total = r.size
@@ -396,7 +357,7 @@ class _PiaSearch:
         self.y_pat = [tuple(row[j] for j in y_cols) for row in self.rows]
         self.nodes = 0
         self.visited: set[tuple[frozenset, frozenset]] = set()
-        self.result: Relation | None = None
+        self.result: list[list[str]] | None = None
 
     @staticmethod
     def _matches(pattern: tuple[str, ...], value: tuple[str, ...]) -> bool:
@@ -424,41 +385,23 @@ class _PiaSearch:
         return self._dfs(list(u0), list(w0))
 
     def _saturate(self, u, w, x_opts, y_opts):
-        """Match every (u, w) pair to a distinct tuple copy able to ground to
+        """Assign every (u, w) pair to a distinct tuple copy able to ground to
         it; returns the per-row pair lists or None if some pair is uncovered."""
         pairs = [(ku, kw) for ku in range(len(u)) for kw in range(len(w))]
-        pair_rows = [
-            [
-                i
-                for i in range(len(self.rows))
-                if ku in x_opts[i] and kw in y_opts[i]
-            ]
-            for ku, kw in pairs
-        ]
-        hosted: list[list[int]] = [[] for _ in self.rows]
-        owner: dict[int, int] = {}
-
-        def place(p: int, blocked: set[int]) -> bool:
-            for i in pair_rows[p]:
-                if i in blocked:
-                    continue
-                blocked.add(i)
-                if len(hosted[i]) < self.counts[i]:
-                    hosted[i].append(p)
-                    owner[p] = i
-                    return True
-                for q in list(hosted[i]):
-                    if place(q, blocked):
-                        hosted[i].remove(q)
-                        hosted[i].append(p)
-                        owner[p] = i
-                        return True
-            return False
-
-        for p in range(len(pairs)):
-            if not place(p, set()):
-                return None
-        return [[pairs[p] for p in hosted_i] for hosted_i in hosted]
+        rows = range(len(self.rows))
+        edges = tuple(
+            (p, i)
+            for p, (ku, kw) in enumerate(pairs)
+            for i in rows
+            if ku in x_opts[i] and kw in y_opts[i]
+        )
+        assignment = max_flow_assignment(FlowNetwork(pairs, self.rows, self.counts, edges))
+        if assignment is None:
+            return None
+        hosted: list[list[tuple[int, int]]] = [[] for _ in rows]
+        for pair, i in zip(pairs, assignment):
+            hosted[i].append(pair)
+        return hosted
 
     def _dfs(self, u: list, w: list) -> bool:
         self.nodes += 1
@@ -507,29 +450,20 @@ class _PiaSearch:
                 w.pop()
         return False
 
-    def _build_witness(self, u, w, x_opts, y_opts, hosted) -> Relation:
-        schema = self.r.schema
-        x_pos = {j: k for k, j in enumerate(self.x_cols)}
-        y_pos = {j: k for k, j in enumerate(self.y_cols)}
-        grounded: list[tuple[str, ...]] = []
+    def _build_witness(self, u, w, x_opts, y_opts, hosted) -> list[list[str]]:
+        """Ground each copy of row i to its hosted pair, or to the first pair
+        it may take once the hosted pairs run out."""
+        grounded: list[list[str]] = []
         for i, (row, count) in enumerate(zip(self.rows, self.counts)):
-            pair_list = list(hosted[i])
-            default = (min(x_opts[i]), min(y_opts[i]))
-            while len(pair_list) < count:
-                pair_list.append(default)
-            for ku, kw in pair_list:
-                new = []
-                for j, v in enumerate(row):
-                    if v != NULL:
-                        new.append(v)
-                    elif j in x_pos:
-                        new.append(u[ku][x_pos[j]])
-                    elif j in y_pos:
-                        new.append(w[kw][y_pos[j]])
-                    else:
-                        new.append(schema.domains[j][0])
-                grounded.append(tuple(new))
-        return Relation.from_rows(schema, grounded, validate=False)
+            spare = (min(x_opts[i]), min(y_opts[i]))
+            for ku, kw in hosted[i] + [spare] * (count - len(hosted[i])):
+                new = list(row)
+                for j, v in zip(self.x_cols, u[ku]):
+                    new[j] = v
+                for j, v in zip(self.y_cols, w[kw]):
+                    new[j] = v
+                grounded.append(new)
+        return grounded
 
 
 def check_pia(r: Relation, x: Iterable[str], y: Iterable[str]) -> CheckReport:
@@ -543,20 +477,14 @@ def check_pia(r: Relation, x: Iterable[str], y: Iterable[str]) -> CheckReport:
     # grounding, which pins them independently of the disjoint core.
     overlap_fixed: dict[int, str] = {}
     for j in oi:
-        seen = {row[j] for row in r.rows if row[j] != NULL}
+        seen = {row[j] for row in r.rows if row[j] is not NULL}
         if len(seen) > 1:
             return CheckReport(False, METHOD_PIA_SEARCH, stats={"nodes": 0})
-        overlap_fixed[j] = next(iter(seen)) if seen else r.schema.domains[j][0]
+        if seen:
+            overlap_fixed[j] = seen.pop()
 
     if not xi or not yi:
-        rows = [
-            tuple(
-                (overlap_fixed.get(j, r.schema.domains[j][0]) if v == NULL else v)
-                for j, v in enumerate(row)
-            )
-            for row in r.rows
-        ]
-        witness = Relation.from_rows(r.schema, rows, r.counts, validate=False)
+        witness = ground(r.schema, r.rows, r.counts, overlap_fixed)
         return CheckReport(True, METHOD_PIA_SEARCH, stats={"nodes": 0}, witness=witness)
 
     x_attrs = tuple(r.schema.attributes[j] for j in xi)
@@ -569,16 +497,7 @@ def check_pia(r: Relation, x: Iterable[str], y: Iterable[str]) -> CheckReport:
     stats = {"nodes": search.nodes}
     if not found:
         return CheckReport(False, METHOD_PIA_SEARCH, stats=stats)
-    witness = search.result
-    if overlap_fixed:
-        rows = [
-            tuple(
-                overlap_fixed.get(j, v) if v == NULL else v
-                for j, v in enumerate(row)
-            )
-            for row in witness.rows
-        ]
-        witness = Relation.from_rows(r.schema, rows, witness.counts, validate=False)
+    witness = ground(r.schema, search.result, fixed=overlap_fixed)
     return CheckReport(True, METHOD_PIA_SEARCH, stats=stats, witness=witness)
 
 

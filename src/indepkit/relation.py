@@ -204,10 +204,6 @@ class Relation:
                 return c
         return 0
 
-    def column(self, attribute: str) -> tuple[Cell, ...]:
-        i = self.schema.index(attribute)
-        return tuple(row[i] for row in self.rows)
-
     def distinct_nonnull(self, attribute: str) -> tuple[str, ...]:
         """Distinct non-null column values, in first-occurrence order."""
         i = self.schema.index(attribute)
@@ -216,11 +212,6 @@ class Relation:
             if row[i] != NULL:
                 out[row[i]] = None
         return tuple(out)
-
-    def null_cell_count(self, attribute: str) -> int:
-        """Null cells in the column, counting each copy of a tuple."""
-        i = self.schema.index(attribute)
-        return sum(c for row, c in zip(self.rows, self.counts) if row[i] == NULL)
 
     def is_complete(self) -> bool:
         return all(NULL not in row for row in self.rows)
@@ -260,10 +251,12 @@ class Relation:
                         cells.append((k, j))
         return copies, cells
 
-    def count_groundings(self) -> int:
-        """Product of |Dom(A)| over every null cell of every tuple copy."""
+    def count_groundings(self, column_indices: Sequence[int] | None = None) -> int:
+        """Product of |Dom(A)| over every null cell of every tuple copy,
+        or only over the null cells in the given columns."""
+        cols = range(len(self.schema.attributes)) if column_indices is None else column_indices
         per_row = [
-            math.prod(len(self.schema.domains[j]) for j, v in enumerate(row) if v == NULL)
+            math.prod(len(self.schema.domains[j]) for j in cols if row[j] == NULL)
             for row in self.rows
         ]
         return math.prod(p**c for p, c in zip(per_row, self.counts))
@@ -297,10 +290,6 @@ class Relation:
                     f"more than {limit} groundings exist"
                 )
             yield Relation.from_rows(self.schema, rows, validate=False)
-
-
-def is_complete_row(row: Sequence[Cell]) -> bool:
-    return NULL not in row
 
 
 # -- CSV and JSON interchange ---------------------------------------------

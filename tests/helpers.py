@@ -9,7 +9,6 @@ import string
 from indepkit import (
     Atom,
     CnfFormula,
-    FlowNetwork,
     NULL,
     Relation,
     Schema,
@@ -75,59 +74,6 @@ def random_atom_set(
             rhs = rhs - lhs
         atoms.append(Atom(lhs, rhs, rng.choice(modalities)))
     return atoms
-
-
-def brute_force_max_flow(network: FlowNetwork) -> int:
-    """Exhaustive search over integral edge flows; only usable on tiny
-    networks."""
-    edges = list(network.edges)
-    best = 0
-    inflow: dict = {}
-    outflow: dict = {}
-
-    def feasible_at(node) -> bool:
-        return inflow.get(node, 0) == outflow.get(node, 0)
-
-    def rec(i: int) -> None:
-        nonlocal best
-        if i == len(edges):
-            if all(
-                feasible_at(n)
-                for n in network.nodes
-                if n not in (network.source, network.sink)
-            ):
-                best = max(best, outflow.get(network.source, 0))
-            return
-        u, v, cap = edges[i]
-        for f in range(cap + 1):
-            outflow[u] = outflow.get(u, 0) + f
-            inflow[v] = inflow.get(v, 0) + f
-            rec(i + 1)
-            outflow[u] -= f
-            inflow[v] -= f
-
-    rec(0)
-    return best
-
-
-def random_bipartite_network(rng: random.Random) -> FlowNetwork:
-    lefts = [f"L{i}" for i in range(rng.randint(1, 3))]
-    rights = [f"R{i}" for i in range(rng.randint(1, 3))]
-    edges = []
-    for left in lefts:
-        edges.append(("s", left, rng.randint(0, 2)))
-    for left in lefts:
-        for right in rights:
-            if rng.random() < 0.6:
-                edges.append((left, right, 1))
-    for right in rights:
-        edges.append((right, "t", rng.randint(1, 2)))
-    return FlowNetwork(
-        nodes=tuple(["s", *lefts, *rights, "t"]),
-        edges=tuple(edges),
-        source="s",
-        sink="t",
-    )
 
 
 def brute_force_sat(phi: CnfFormula) -> bool:

@@ -262,3 +262,13 @@ class TestConfig:
             "--config", str(config),
         )
         assert code == 2
+
+    def test_seed_is_not_a_setting(self, capsys, tmp_path):
+        # nothing in the runtime is random, so there is no seed to set
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 1}))
+        code, _, err = run(
+            capsys, "closure", str(DATA / "sigma_certain.txt"),
+            "--config", str(config),
+        )
+        assert code == 2 and "unknown config key 'seed'" in err

@@ -1,93 +1,99 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
-from indepkit import (
-    FlowNetwork,
-    NULL,
-    Relation,
-    Schema,
-    SchemaError,
-    build_flow_network,
-    max_flow,
-    max_flow_assignment,
-)
-from helpers import brute_force_max_flow, random_bipartite_network
+from indepkit import NULL, Relation, Schema
+from indepkit.flow import FlowNetwork, max_flow_assignment
+from indepkit.model_check import build_flow_network
+
+
+def random_network(rng: random.Random) -> FlowNetwork:
+    """At most 5 items and 4 slots, capacities 0-2, each edge present with
+    probability 0.5."""
+    n_items, n_slots = rng.randint(0, 5), rng.randint(1, 4)
+    edges = tuple(
+        (i, s) for i in range(n_items) for s in range(n_slots) if rng.random() < 0.5
+    )
+    capacities = tuple(rng.randint(0, 2) for _ in range(n_slots))
+    return FlowNetwork(tuple(range(n_items)), tuple(range(n_slots)), capacities, edges)
+
+
+def brute_force_assignable(network: FlowNetwork) -> bool:
+    """Does some choice of one edge per item respect every capacity?"""
+    choices = [[s for i2, s in network.edges if i2 == i] for i in range(len(network.items))]
+    for slots in itertools.product(*choices):
+        if all(slots.count(s) <= c for s, c in enumerate(network.capacities)):
+            return True
+    return False
+
+
+def assert_respects_network(network: FlowNetwork, assignment: list[int]) -> None:
+    assert len(assignment) == len(network.items)
+    edges = set(network.edges)
+    for item, slot in enumerate(assignment):
+        assert (item, slot) in edges
+    for slot, capacity in enumerate(network.capacities):
+        assert assignment.count(slot) <= capacity
 
 
 class TestFlowNetwork:
-    def test_validation(self):
-        with pytest.raises(SchemaError):
-            FlowNetwork(("s",), (), "s", "s")
-        with pytest.raises(SchemaError):
-            FlowNetwork(("s", "t"), (("t", "x", 1),), "s", "t")
-        with pytest.raises(SchemaError):
-            FlowNetwork(("s", "t", "x"), (("x", "s", 1),), "s", "t")
-        with pytest.raises(SchemaError):
-            FlowNetwork(("s", "t"), (("s", "t", -1),), "s", "t")
-
     def test_zero_capacity_cut(self):
-        net = FlowNetwork(("s", "m", "t"), (("s", "m", 0), ("m", "t", 3)), "s", "t")
-        assert max_flow(net) == 0
+        net = FlowNetwork(("i",), ("s", "t"), (0, 3), ((0, 0),))
+        assert max_flow_assignment(net) is None
 
     def test_agrees_with_brute_force(self):
         rng = random.Random(31)
-        for _ in range(40):
-            net = random_bipartite_network(rng)
-            if len(net.edges) > 10:
-                continue
-            assert max_flow(net) == brute_force_max_flow(net)
+        for _ in range(300):
+            net = random_network(rng)
+            assignment = max_flow_assignment(net)
+            assert (assignment is not None) == brute_force_assignable(net), net
+            if assignment is not None:
+                assert_respects_network(net, assignment)
 
     def test_flow_bounds_and_conservation(self):
-        rng = random.Random(32)
-        for _ in range(40):
-            net = random_bipartite_network(rng)
-            value, flows = max_flow_assignment(net)
-            out_source = sum(c for u, _, c in net.edges if u == net.source)
-            into_sink = sum(c for _, v, c in net.edges if v == net.sink)
-            assert value <= min(out_source, into_sink)
-            inflow: dict = {}
-            outflow: dict = {}
-            for (u, v), f in flows.items():
-                outflow[u] = outflow.get(u, 0) + f
-                inflow[v] = inflow.get(v, 0) + f
-            for node in net.nodes:
-                if node in (net.source, net.sink):
-                    continue
-                assert inflow.get(node, 0) == outflow.get(node, 0)
+        # augmenting paths move earlier items instead of giving up: item 0
+        # first takes slot 0, which item 1 needs, and must move to slot 1
+        net = FlowNetwork((0, 1, 2), (0, 1, 2), (1, 1, 1), ((0, 0), (0, 1), (1, 0), (2, 1), (2, 2)))
+        assignment = max_flow_assignment(net)
+        assert assignment is not None and assignment[:2] == [1, 0]
+        assert_respects_network(net, assignment)
+        # no item is left over when there are more items than capacity
+        full = FlowNetwork((0, 1, 2), (0,), (2,), ((0, 0), (1, 0), (2, 0)))
+        assert max_flow_assignment(full) is None
 
 
 class TestBuildNetwork:
     def test_seven_row_example_shape(self, two_column_seven_rows):
         net = build_flow_network(two_column_seven_rows, "A", "B")
-        # six distinct tuples (one carried twice), six product elements
-        assert len(net.nodes) == 1 + 6 + 6 + 1
-        cells = [n for n in net.nodes if isinstance(n, tuple) and n[0] == "x"]
-        assert len(cells) == 6
-        source_caps = {v[1]: c for u, v, c in net.edges if u == net.source}
-        assert source_caps[("0", NULL)] == 2
-        assert max_flow(net) == 6
+        # no complete tuple, so all six product cells are items; the pools
+        # are (0,*) twice, (1,*), (*,2), (*,1), (*,0) and (*,*)
+        assert sorted(net.items) == [(a, b) for a in "01" for b in "012"]
+        assert dict(zip(net.slots, net.capacities))[("0", NULL)] == 2
+        assert sum(net.capacities) == 7
+        for item in range(len(net.items)):
+            assert len([e for e in net.edges if e[0] == item]) == 3
+        assert max_flow_assignment(net) is not None
 
-    def test_complete_rows_have_one_grounding_edge(self):
-        schema = Schema(("A", "B"), (("0", "1"), ("0", "1")))
-        r = Relation.from_rows(schema, [("0", "0"), ("1", "1")])
+    def test_covered_cells_are_not_items(self, two_column_seven_rows):
+        schema = two_column_seven_rows.schema
+        r = Relation.from_rows(
+            schema, [*two_column_seven_rows.rows, ("0", "1"), ("1", "2"), ("1", "2")]
+        )
         net = build_flow_network(r, "A", "B")
-        for node in net.nodes:
-            if isinstance(node, tuple) and node[0] == "t":
-                outgoing = [e for e in net.edges if e[0] == node]
-                assert len(outgoing) == 1
+        assert ("0", "1") not in net.items and ("1", "2") not in net.items
+        assert len(net.items) == 4
+        assert all(len([e for e in net.edges if e[0] == i]) <= 3 for i in range(len(net.items)))
 
     def test_all_null_tuple_reaches_every_cell(self):
         schema = Schema(("A", "B"), (("0", "1"), ("0", "1")))
-        r = Relation.from_rows(
-            schema, [(NULL, NULL), ("0", "0"), ("1", "1"), ("0", "1")]
-        )
+        r = Relation.from_rows(schema, [(NULL, NULL), ("0", "0"), ("1", "1"), ("0", "1")])
         net = build_flow_network(r, "A", "B")
-        null_node = ("t", (NULL, NULL))
-        outgoing = [e for e in net.edges if e[0] == null_node]
-        assert len(outgoing) == 4
+        wildcard = net.slots.index((NULL, NULL))
+        assert net.items == (("1", "0"),)
+        assert net.edges == ((0, wildcard),)
 
     def test_preconditions(self, two_column_seven_rows):
         with pytest.raises(ValueError):

@@ -14,13 +14,16 @@ from indepkit import (
     check_ia,
     check_pia,
     check_pia_oracle,
+    check_atom,
     check_pia_unary,
     cia_oracle_report,
     exchange_failure_relation,
     is_certainly_constant,
     pia_counting_bound,
     FragmentError,
+    parse_atom,
 )
+from indepkit.model_check import ground
 from helpers import random_relation, random_sides
 
 
@@ -91,6 +94,20 @@ class TestOracles:
             assert check_pia_oracle(r, x, y).verdict == any(
                 check_ia(g, x, y) for g in all_groundings
             )
+
+    def test_bound_counts_only_the_atom_columns(self):
+        # 12 nulls in C, outside the atom: 4**12 groundings in all, 1 for A, B
+        r = rel(
+            "ABC",
+            [("0", "1"), ("0", "1"), ("0", "1", "2", "3")],
+            [(a, b, NULL) for a in "01" for b in "01"],
+            [3] * 4,
+        )
+        assert r.count_groundings() == 4**12
+        assert r.count_groundings(r.schema.indices("AB")) == 1
+        report = check_atom(r, parse_atom("A _||_p B", r.schema), method="oracle")
+        assert report.verdict and report.stats == {"groundings": 1}
+        assert check_ia(report.witness, {"A"}, {"B"})
 
     def test_failing_grounding_reported_for_refuted_certain(self, table1):
         report = cia_oracle_report(table1, {"e"}, {"s"})
@@ -174,18 +191,30 @@ class TestPiaSearch:
         assert report.verdict
         assert check_ia(report.witness, {"A"}, {"B"})
 
+    def test_overlap_witness_keeps_the_pinned_value(self):
+        # C is on both sides; its null in the third row must ground to the
+        # observed 1, not to the first domain value
+        r = rel("ABC", [("0", "1", "2")] * 3, [("1", NULL, "1"), ("0", "1", "1"), ("1", NULL, NULL)])
+        x, y = {"A", "C"}, {"B", "C"}
+        report = check_pia(r, x, y)
+        assert report.verdict
+        assert check_ia(report.witness, x, y)
+        assert report.witness.size == r.size
+
     def test_agrees_with_oracle_on_random_instances(self):
         rng = random.Random(21)
-        for _ in range(80):
-            r = random_relation(rng, grounding_cap=2**12)
-            x, y = random_sides(rng, r.schema)
-            got = check_pia(r, x, y)
-            want = check_pia_oracle(r, x, y)
-            assert got.verdict == want.verdict, (r, x, y)
-            if got.verdict:
-                assert check_ia(got.witness, x, y)
-                # a witness is a grounding: sizes match, non-nulls agree
-                assert got.witness.size == r.size
+        # up to 5 rows, then a wider regime of up to 7 rows over 5 attributes
+        for cases, max_attrs, max_tuples in ((80, 4, 5), (300, 5, 7)):
+            for _ in range(cases):
+                r = random_relation(rng, max_attrs, max_tuples, grounding_cap=2**12)
+                x, y = random_sides(rng, r.schema)
+                got = check_pia(r, x, y)
+                want = check_pia_oracle(r, x, y)
+                assert got.verdict == want.verdict, (r, x, y)
+                if got.verdict:
+                    assert check_ia(got.witness, x, y)
+                    # a witness is a grounding: sizes match, non-nulls agree
+                    assert got.witness.size == r.size
 
     def test_unary_all_null_column_holds(self):
         r = rel("AB", [("0", "1")] * 2, [(NULL, "0"), (NULL, "1")])
@@ -199,15 +228,18 @@ class TestPiaSearch:
 
     def test_unary_flow_agrees_with_oracle(self):
         rng = random.Random(22)
-        for _ in range(80):
-            r = random_relation(rng, grounding_cap=2**12)
-            a = rng.choice(r.schema.attributes)
-            b = rng.choice(r.schema.attributes)
-            got = check_pia_unary(r, a, b)
-            want = check_pia_oracle(r, {a}, {b})
-            assert got.verdict == want.verdict, (r, a, b)
-            if got.verdict:
-                assert check_ia(got.witness, {a}, {b})
+        # up to 5 rows, then a wider regime of up to 7 rows over 5 attributes
+        for cases, max_attrs, max_tuples in ((80, 4, 5), (300, 5, 7)):
+            for _ in range(cases):
+                r = random_relation(rng, max_attrs, max_tuples, grounding_cap=2**12)
+                a = rng.choice(r.schema.attributes)
+                b = rng.choice(r.schema.attributes)
+                got = check_pia_unary(r, a, b)
+                want = check_pia_oracle(r, {a}, {b})
+                assert got.verdict == want.verdict, (r, a, b)
+                if got.verdict:
+                    assert check_ia(got.witness, {a}, {b})
+                    assert got.witness.size == r.size
 
 
 class TestStructuralProperties:
@@ -246,6 +278,7 @@ class TestStructuralProperties:
             witness = report.witness
             assert witness.is_complete()
             assert witness.size == r.size
+            assert check_ia(witness, x, y)
             # every original row, restricted to its non-null cells, appears
             # with at least its multiplicity
             for row, count in zip(r.rows, r.counts):
@@ -256,6 +289,16 @@ class TestStructuralProperties:
                     if all(w_row[j] == v for j, v in fixed)
                 )
                 assert matching >= count
+
+
+class TestGround:
+    def test_fixed_values_then_first_domain_value(self):
+        schema = Schema(("A", "B", "C"), (("0", "1"), ("0", "1"), ("0", "1")))
+        rows = [(NULL, "1", NULL), (NULL, NULL, "1")]
+        g = ground(schema, rows, [2, 1], fixed={1: "1"})
+        assert g == Relation.from_rows(schema, [("0", "1", "0"), ("0", "1", "1")], [2, 1])
+        # rows that ground alike merge
+        assert ground(schema, [(NULL, "0", "0"), ("0", "0", "0")]).counts == (2,)
 
 
 class TestReportSerialization:
