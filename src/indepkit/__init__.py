@@ -38,8 +38,10 @@ from .errors import (
     SearchBoundsError,
 )
 from .implication import (
+    ImplicationReport,
     SearchBounds,
     constants_of,
+    implies,
     implies_cia,
     implies_ia,
     implies_mixed_disjoint,

@@ -5,28 +5,17 @@ Subcommands: ``check`` (atom against a relation file), ``implies``
 ``closure``, ``derive`` (proof tree), ``witness`` (bundled constructions),
 and ``from-cnf`` (the satisfiability reduction).
 
-Configuration precedence: command-line flags, then ``INDEPKIT_*`` environment
-variables, then a JSON config file, then built-in defaults.
+Each subcommand declares only the flags it reads, and each setting comes from
+its flag or the flag's default; every subcommand takes ``--json``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass, fields
 
-from .atoms import (
-    CERTAIN,
-    PLAIN,
-    POSSIBLE,
-    is_disjoint,
-    is_pia_star,
-    parse_atom,
-    parse_constraints,
-    render_atom,
-)
+from .atoms import CERTAIN, PLAIN, POSSIBLE, parse_atom, parse_constraints, render_atom
 from .constructions import (
     CnfFormula,
     cnf_to_relation,
@@ -37,15 +26,8 @@ from .constructions import (
     pia_separating_family,
     sat_via_pia,
 )
-from .errors import FragmentError, IndepkitError
-from .implication import (
-    SearchBounds,
-    implies_cia,
-    implies_ia,
-    implies_mixed_disjoint,
-    implies_pia_star,
-    search_counterexample,
-)
+from .errors import IndepkitError
+from .implication import SearchBounds, implies, search_counterexample
 from .model_check import DEFAULT_ORACLE_BOUND, check_atom
 from .relation import domains_to_json, read_relation, relation_to_csv
 from .rules import (
@@ -66,95 +48,34 @@ EXIT_FAILS = 1
 EXIT_ERROR = 2
 
 
-@dataclass
-class RunConfig:
-    """Resolved runtime settings for one command invocation."""
-
-    oracle_bound: int = DEFAULT_ORACLE_BOUND
-    attribute_limit: int = DEFAULT_ATTRIBUTE_LIMIT
-    max_attributes: int = 5
-    max_rows: int = 4
-    domain_size: int = 2
-    output: str = "text"
-
-    def __post_init__(self):
-        for name in ("oracle_bound", "attribute_limit", "max_attributes", "max_rows"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        if self.domain_size < 2:
-            raise ValueError("domain_size must be at least 2")
-        if self.output not in ("text", "json"):
-            raise ValueError("output must be text or json")
-
-    @property
-    def bounds(self) -> SearchBounds:
-        return SearchBounds(self.max_attributes, self.max_rows, self.domain_size)
-
-
-_ENV_PREFIX = "INDEPKIT_"
-_INT_SETTINGS = (
-    "oracle_bound",
-    "attribute_limit",
-    "max_attributes",
-    "max_rows",
-    "domain_size",
-)
-
-
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    values: dict[str, object] = {}
-    config_path = getattr(args, "config", None)
-    if config_path:
-        with open(config_path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        known = {f.name for f in fields(RunConfig)}
-        for key, value in data.items():
-            if key not in known:
-                raise ValueError(f"unknown config key {key!r}")
-            values[key] = value
-    for f in fields(RunConfig):
-        env = os.environ.get(_ENV_PREFIX + f.name.upper())
-        if env is not None:
-            values[f.name] = int(env) if f.name in _INT_SETTINGS else env
-    for f in fields(RunConfig):
-        flag = getattr(args, f.name, None)
-        if flag is not None:
-            values[f.name] = flag
-    if getattr(args, "json", False):
-        values["output"] = "json"
-    return RunConfig(**{k: v for k, v in values.items()})
-
-
 def _unicode_ok() -> bool:
     encoding = getattr(sys.stdout, "encoding", None) or ""
     return "utf" in encoding.lower()
 
 
-def _emit(config: RunConfig, text_lines: list[str], payload: dict) -> None:
-    if config.output == "json":
+def _emit(as_json: bool, text_lines: list[str], payload: dict) -> None:
+    if as_json:
         print(json.dumps(payload, indent=2))
     else:
         for line in text_lines:
             print(line)
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--oracle-bound", dest="oracle_bound", type=int)
-    parser.add_argument("--limit", dest="attribute_limit", type=int,
-                        help="saturation attribute limit")
-    parser.add_argument("--max-attributes", dest="max_attributes", type=int)
-    parser.add_argument("--max-rows", dest="max_rows", type=int)
-    parser.add_argument("--domain-size", dest="domain_size", type=int)
-    parser.add_argument("--output", dest="output", choices=("text", "json"))
-    parser.add_argument("--json", action="store_true", help="shortcut for --output json")
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _setting(parser, flag: str, default: int, what: str) -> None:
+    parser.add_argument(flag, type=_positive_int, default=default,
+                        help=f"{what} (default {default})")
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    config = resolve_config(args)
     relation = read_relation(args.relation, args.domains)
     atom = parse_atom(args.atom, relation.schema)
-    report = check_atom(relation, atom, method=args.method, oracle_bound=config.oracle_bound)
+    report = check_atom(relation, atom, method=args.method, oracle_bound=args.oracle_bound)
     shown = render_atom(atom, relation.schema, unicode_ops=_unicode_ok())
     verdict = "holds" if report.verdict else "fails"
     lines = [f"{shown}: {verdict}  [method {report.method}]"]
@@ -164,82 +85,42 @@ def _cmd_check(args: argparse.Namespace) -> int:
         lines.append("witness:")
         lines.extend("  " + l for l in relation_to_csv(report.witness).splitlines())
     payload = {"atom": render_atom(atom, relation.schema), **report.to_json_dict()}
-    _emit(config, lines, payload)
+    _emit(args.json, lines, payload)
     if args.exit_status:
         return EXIT_OK if report.verdict else EXIT_FAILS
     return EXIT_OK
 
 
-def _route_implies(premises, goal, sound_only: bool, limit: int):
-    """Pick the decider for the query's fragment.  Returns the verdict, the
-    completeness tag, and a label naming the route taken."""
-    modalities = {a.modality for a in premises} | {goal.modality}
-    if modalities == {PLAIN}:
-        return implies_ia(premises, goal, limit), "complete", "closure-I"
-    if PLAIN in modalities:
-        raise FragmentError("plain atoms cannot be mixed with modal atoms")
-    if modalities == {CERTAIN}:
-        return implies_cia(premises, goal, limit), "complete", "certain-as-plain"
-    if modalities == {POSSIBLE}:
-        if is_pia_star(goal):
-            return implies_pia_star(premises, goal), "complete", "pia-star"
-        if sound_only:
-            verdict = derives(premises, goal, SYSTEM_I_P, limit) is not None
-            return verdict, "sound-only", "derivability-I_p"
-        raise FragmentError(
-            "the goal is outside the decidable possible fragment; "
-            "pass --sound-only for a derivability answer"
-        )
-    if all(is_disjoint(a) for a in [*premises, goal]):
-        if goal.modality == CERTAIN:
-            return implies_mixed_disjoint(premises, goal, limit), "complete", "certain-core"
-        if sound_only:
-            return (
-                implies_mixed_disjoint(premises, goal, limit),
-                "sound-only",
-                "derivability-disjoint-mixed",
-            )
-        raise FragmentError(
-            "possible goals under mixed premises are sound-only; pass --sound-only"
-        )
-    if sound_only:
-        verdict = derives(premises, goal, SYSTEM_FULL, limit) is not None
-        return verdict, "sound-only", "derivability-full"
-    raise FragmentError("non-disjoint mixed sets are sound-only; pass --sound-only")
-
-
 def _cmd_implies(args: argparse.Namespace) -> int:
-    config = resolve_config(args)
+    bounds = SearchBounds(args.max_attributes, args.max_rows, args.domain_size)
     with open(args.constraints, encoding="utf-8") as fh:
         premises = parse_constraints(fh.read())
     goal = parse_atom(args.atom)
-    verdict, completeness, route = _route_implies(
-        premises, goal, args.sound_only, config.attribute_limit
-    )
-    word = "implied" if completeness == "complete" else "derivable"
+    report = implies(premises, goal, args.sound_only, args.limit)
+    word = "implied" if report.completeness == "complete" else "derivable"
     shown = render_atom(goal, unicode_ops=_unicode_ok())
     lines = [
-        f"{shown}: {word if verdict else 'not ' + word}"
-        f"  [completeness {completeness}, via {route}]"
+        f"{shown}: {word if report.verdict else 'not ' + word}"
+        f"  [completeness {report.completeness}, via {report.route}]"
     ]
     payload = {
         "atom": render_atom(goal),
-        "verdict": verdict,
-        "completeness": completeness,
-        "via": route,
+        "verdict": report.verdict,
+        "completeness": report.completeness,
+        "via": report.route,
         "counterexample": None,
     }
-    if not verdict and args.counterexample:
-        witness = search_counterexample(premises, goal, config.bounds)
+    if not report.verdict and args.counterexample:
+        witness = search_counterexample(premises, goal, bounds)
         if witness is None:
-            lines.append("no counterexample within the configured bounds")
+            lines.append("no counterexample within the search bounds")
         else:
             csv_path, dom_path = _write_relation_files(
                 witness, args.counterexample.removesuffix(".csv")
             )
             lines.append(f"counterexample written to {csv_path} and {dom_path}")
             payload["counterexample"] = relation_to_csv(witness)
-    _emit(config, lines, payload)
+    _emit(args.json, lines, payload)
     return EXIT_OK
 
 
@@ -259,14 +140,13 @@ def _pick_system(args: argparse.Namespace, premises, goal=None):
 
 
 def _cmd_closure(args: argparse.Namespace) -> int:
-    config = resolve_config(args)
     with open(args.constraints, encoding="utf-8") as fh:
         premises = parse_constraints(fh.read())
     system = _pick_system(args, premises)
     universe = None
     if args.universe:
         universe = [a.strip() for a in args.universe.split(",") if a.strip()]
-    atoms = closure(premises, system, universe, config.attribute_limit)
+    atoms = closure(premises, system, universe, args.limit)
     rendered = sorted(render_atom(a) for a in atoms)
     lines = [f"{len(rendered)} atoms in the {system.name} closure"]
     unicode_ops = _unicode_ok()
@@ -274,20 +154,19 @@ def _cmd_closure(args: argparse.Namespace) -> int:
         "  " + render_atom(a, unicode_ops=unicode_ops)
         for a in sorted(atoms, key=render_atom)
     ]
-    _emit(config, lines, {"system": system.name, "atoms": rendered})
+    _emit(args.json, lines, {"system": system.name, "atoms": rendered})
     return EXIT_OK
 
 
 def _cmd_derive(args: argparse.Namespace) -> int:
-    config = resolve_config(args)
     with open(args.constraints, encoding="utf-8") as fh:
         premises = parse_constraints(fh.read())
     goal = parse_atom(args.atom)
     system = _pick_system(args, premises, goal)
-    derivation = derives(premises, goal, system, config.attribute_limit)
+    derivation = derives(premises, goal, system, args.limit)
     if derivation is None:
         _emit(
-            config,
+            args.json,
             [f"{render_atom(goal, unicode_ops=_unicode_ok())}: not derivable in {system.name}"],
             {"derivable": False, "system": system.name, "steps": None},
         )
@@ -298,7 +177,7 @@ def _cmd_derive(args: argparse.Namespace) -> int:
         "system": system.name,
         "steps": derivation_to_json_list(derivation),
     }
-    _emit(config, lines, payload)
+    _emit(args.json, lines, payload)
     return EXIT_OK
 
 
@@ -344,7 +223,6 @@ def _write_relation_files(relation, out_base: str) -> tuple[str, str]:
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
-    config = resolve_config(args)
     relation = _build_witness(args)
     payload = {
         "csv": relation_to_csv(relation),
@@ -352,14 +230,13 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     }
     if args.out:
         csv_path, dom_path = _write_relation_files(relation, args.out)
-        _emit(config, [f"written to {csv_path} and {dom_path}"], payload)
+        _emit(args.json, [f"written to {csv_path} and {dom_path}"], payload)
     else:
-        _emit(config, [relation_to_csv(relation).rstrip("\n")], payload)
+        _emit(args.json, [relation_to_csv(relation).rstrip("\n")], payload)
     return EXIT_OK
 
 
 def _cmd_from_cnf(args: argparse.Namespace) -> int:
-    config = resolve_config(args)
     with open(args.cnf, encoding="utf-8") as fh:
         phi = CnfFormula.from_dimacs(fh.read())
     relation, goal = cnf_to_relation(phi)
@@ -380,7 +257,7 @@ def _cmd_from_cnf(args: argparse.Namespace) -> int:
         verdict = sat_via_pia(phi)
         payload["satisfiable"] = verdict
         lines.append("satisfiable" if verdict else "unsatisfiable")
-    _emit(config, lines, payload)
+    _emit(args.json, lines, payload)
     return EXIT_OK
 
 
@@ -395,13 +272,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("relation", help="relation CSV file")
     p_check.add_argument("atom", help="atom text, e.g. 'e _||_p s'")
     p_check.add_argument("--domains", help="sidecar JSON domain file")
-    p_check.add_argument("--method", choices=("auto", "fast", "oracle"), default="auto")
+    p_check.add_argument("--method", choices=("auto", "oracle"), default="auto")
     p_check.add_argument(
         "--exit-status",
         action="store_true",
         help="exit 0 when the atom holds, 1 when it fails, 2 on errors",
     )
-    _add_config_flags(p_check)
+    _setting(p_check, "--oracle-bound", DEFAULT_ORACLE_BOUND, "oracle grounding bound")
     p_check.set_defaults(func=_cmd_check)
 
     p_implies = sub.add_parser("implies", help="decide implication from a constraint file")
@@ -417,21 +294,25 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="allow derivability answers outside the complete fragments",
     )
-    _add_config_flags(p_implies)
+    _setting(p_implies, "--limit", DEFAULT_ATTRIBUTE_LIMIT, "saturation attribute limit")
+    search = p_implies.add_argument_group("counterexample search bounds")
+    _setting(search, "--max-attributes", SearchBounds.max_attributes, "most attributes")
+    _setting(search, "--max-rows", SearchBounds.max_rows, "most rows")
+    _setting(search, "--domain-size", SearchBounds.domain_size, "values per attribute, at least 2")
     p_implies.set_defaults(func=_cmd_implies)
 
     p_closure = sub.add_parser("closure", help="print the closure of a constraint file")
     p_closure.add_argument("constraints")
     p_closure.add_argument("--system", help="I, I_c, I_p, J_pc, full, or disjoint-mixed")
     p_closure.add_argument("--universe", help="comma-separated attribute universe")
-    _add_config_flags(p_closure)
+    _setting(p_closure, "--limit", DEFAULT_ATTRIBUTE_LIMIT, "saturation attribute limit")
     p_closure.set_defaults(func=_cmd_closure)
 
     p_derive = sub.add_parser("derive", help="print a derivation of an atom")
     p_derive.add_argument("constraints")
     p_derive.add_argument("atom")
     p_derive.add_argument("--system", help="I, I_c, I_p, J_pc, full, or disjoint-mixed")
-    _add_config_flags(p_derive)
+    _setting(p_derive, "--limit", DEFAULT_ATTRIBUTE_LIMIT, "saturation attribute limit")
     p_derive.set_defaults(func=_cmd_derive)
 
     p_witness = sub.add_parser("witness", help="emit a bundled construction as CSV")
@@ -449,15 +330,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_witness.add_argument("--attr", help="varying attribute (constancy)")
     p_witness.add_argument("--universe", help="comma-separated universe (constancy)")
     p_witness.add_argument("--out", help="write BASE.csv and BASE.domains.json")
-    _add_config_flags(p_witness)
     p_witness.set_defaults(func=_cmd_witness)
 
     p_cnf = sub.add_parser("from-cnf", help="reduce a DIMACS CNF file to a relation")
     p_cnf.add_argument("cnf", help="DIMACS CNF file")
     p_cnf.add_argument("--out", help="write BASE.csv and BASE.domains.json")
     p_cnf.add_argument("--decide", action="store_true", help="also decide satisfiability")
-    _add_config_flags(p_cnf)
     p_cnf.set_defaults(func=_cmd_from_cnf)
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true", help="print JSON instead of text")
     return parser
 
 

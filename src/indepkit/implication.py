@@ -6,6 +6,7 @@ coincide.  For possible atoms the polynomial containment procedure decides
 goals with a singleton side or near-equal side sizes, and for disjoint mixed
 sets a certain goal depends only on the certain premises.  Everything outside
 these fragments is answered as derivability only (sound, not complete).
+``implies`` picks the decider for a query's fragment and labels the answer.
 
 ``search_counterexample`` hunts for a relation that satisfies every premise
 and violates the goal, enumerating relations by row count, then null count,
@@ -38,7 +39,9 @@ from .relation import NULL, Relation, Schema
 from .rules import (
     DEFAULT_ATTRIBUTE_LIMIT,
     SYSTEM_DISJOINT_MIXED,
+    SYSTEM_FULL,
     SYSTEM_I,
+    SYSTEM_I_P,
     closure,
     derives,
 )
@@ -121,6 +124,55 @@ def implies_mixed_disjoint(
         certain = [a for a in premises if a.modality == CERTAIN]
         return implies_ia(ind_set(certain), ind(goal), limit)
     return derives(premises, goal, SYSTEM_DISJOINT_MIXED, limit) is not None
+
+
+@dataclass(frozen=True)
+class ImplicationReport:
+    """An implication answer: the verdict, ``"complete"`` or ``"sound-only"``
+    (derivability, sound but not known complete), and the route taken."""
+
+    verdict: bool
+    completeness: str
+    route: str
+
+
+def implies(
+    sigma: Iterable[Atom],
+    goal: Atom,
+    sound_only: bool = False,
+    limit: int = DEFAULT_ATTRIBUTE_LIMIT,
+) -> ImplicationReport:
+    """Decide the query with the decider of its fragment.  Outside the
+    complete fragments a derivability answer is given when ``sound_only`` is
+    set; otherwise ``FragmentError`` is raised."""
+    premises = list(sigma)
+    modalities = {a.modality for a in premises} | {goal.modality}
+    if modalities == {PLAIN}:
+        return ImplicationReport(implies_ia(premises, goal, limit), "complete", "closure-I")
+    if PLAIN in modalities:
+        raise FragmentError("plain atoms cannot be mixed with modal atoms")
+    if modalities == {CERTAIN}:
+        verdict = implies_cia(premises, goal, limit)
+        return ImplicationReport(verdict, "complete", "certain-as-plain")
+    if modalities == {POSSIBLE} and is_pia_star(goal):
+        return ImplicationReport(implies_pia_star(premises, goal), "complete", "pia-star")
+    disjoint = all(is_disjoint(a) for a in [*premises, goal])
+    if disjoint and goal.modality == CERTAIN:
+        verdict = implies_mixed_disjoint(premises, goal, limit)
+        return ImplicationReport(verdict, "complete", "certain-core")
+    if not sound_only:
+        raise FragmentError(
+            f"{render_atom(goal)!r} under these premises is outside the complete "
+            "fragments; set sound_only (CLI: --sound-only) for a derivability answer"
+        )
+    if modalities == {POSSIBLE}:
+        verdict = derives(premises, goal, SYSTEM_I_P, limit) is not None
+        return ImplicationReport(verdict, "sound-only", "derivability-I_p")
+    if disjoint:
+        verdict = implies_mixed_disjoint(premises, goal, limit)
+        return ImplicationReport(verdict, "sound-only", "derivability-disjoint-mixed")
+    verdict = derives(premises, goal, SYSTEM_FULL, limit) is not None
+    return ImplicationReport(verdict, "sound-only", "derivability-full")
 
 
 # -- bounded counterexample search ------------------------------------------

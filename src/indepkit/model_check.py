@@ -375,6 +375,10 @@ class _PiaSearch:
         )
 
     def run(self) -> bool:
+        """Depth-first over support states from an explicit stack: each entry
+        is the side list a state extends and its iterator of extensions, or
+        None for a state that was pruned.  Leaving a state removes the
+        support element that led to it."""
         u0: dict[tuple[str, ...], None] = {}
         w0: dict[tuple[str, ...], None] = {}
         for i in range(len(self.rows)):
@@ -382,7 +386,19 @@ class _PiaSearch:
                 u0[self.x_pat[i]] = None
             if NULL not in self.y_pat[i]:
                 w0[self.y_pat[i]] = None
-        return self._dfs(list(u0), list(w0))
+        u, w = list(u0), list(w0)
+        stack = [self._visit(u, w)]
+        while stack and self.result is None:
+            step = stack[-1]
+            ext = next(step[1], None) if step else None
+            if ext is None:
+                stack.pop()
+                if stack:
+                    stack[-1][0].pop()
+                continue
+            step[0].append(ext)
+            stack.append(self._visit(u, w))
+        return self.result is not None
 
     def _saturate(self, u, w, x_opts, y_opts):
         """Assign every (u, w) pair to a distinct tuple copy able to ground to
@@ -403,14 +419,17 @@ class _PiaSearch:
             hosted[i].append(pair)
         return hosted
 
-    def _dfs(self, u: list, w: list) -> bool:
+    def _visit(self, u: list, w: list):
+        """Count the state (u, w) and prune it (None), record its witness in
+        ``result`` (None), or return the side to branch on and its
+        extensions."""
         self.nodes += 1
         key = (frozenset(u), frozenset(w))
         if key in self.visited:
-            return False
+            return None
         self.visited.add(key)
         if len(u) * len(w) > self.total:
-            return False
+            return None
         x_opts = [
             {k for k, val in enumerate(u) if self._matches(self.x_pat[i], val)}
             for i in range(len(self.rows))
@@ -421,7 +440,7 @@ class _PiaSearch:
         ]
         hosted = self._saturate(u, w, x_opts, y_opts)
         if hosted is None:
-            return False
+            return None
         branch = None  # (extension count, row, side)
         for i in range(len(self.rows)):
             if not x_opts[i]:
@@ -434,21 +453,11 @@ class _PiaSearch:
                 branch = score
         if branch is None:
             self.result = self._build_witness(u, w, x_opts, y_opts, hosted)
-            return True
+            return None
         _, i, side = branch
         if side == "x":
-            for ext in self._extensions(self.x_pat[i], self.x_cols):
-                u.append(ext)
-                if self._dfs(u, w):
-                    return True
-                u.pop()
-        else:
-            for ext in self._extensions(self.y_pat[i], self.y_cols):
-                w.append(ext)
-                if self._dfs(u, w):
-                    return True
-                w.pop()
-        return False
+            return u, self._extensions(self.x_pat[i], self.x_cols)
+        return w, self._extensions(self.y_pat[i], self.y_cols)
 
     def _build_witness(self, u, w, x_opts, y_opts, hosted) -> list[list[str]]:
         """Ground each copy of row i to its hosted pair, or to the first pair
@@ -510,9 +519,9 @@ def check_atom(
     method: str = "auto",
     oracle_bound: int = DEFAULT_ORACLE_BOUND,
 ) -> CheckReport:
-    """Route an atom to a checker.  ``auto`` and ``fast`` use the direct and
+    """Route an atom to a checker.  ``auto`` uses the direct and
     polynomial/search paths; ``oracle`` enumerates groundings."""
-    if method not in ("auto", "fast", "oracle"):
+    if method not in ("auto", "oracle"):
         raise ValueError(f"unknown method {method!r}")
     if atom.modality == "plain":
         return CheckReport(check_ia(r, atom.lhs, atom.rhs), METHOD_IA_DIRECT)

@@ -65,9 +65,6 @@ class RuleSystem:
     def __contains__(self, rule: str) -> bool:
         return rule in self.rules
 
-    def __or__(self, other: RuleSystem) -> RuleSystem:
-        return RuleSystem(f"{self.name}+{other.name}", self.rules | other.rules)
-
     def without(self, *rule_ids: str) -> RuleSystem:
         return RuleSystem(
             f"{self.name}\\{{{','.join(rule_ids)}}}", self.rules - set(rule_ids)

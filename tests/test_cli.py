@@ -1,8 +1,9 @@
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
+
+import pytest
 
 from indepkit import check_atom, parse_atom, read_relation, relation_from_csv
 from indepkit.cli import main
@@ -54,9 +55,9 @@ class TestCheck:
             "s _||_ g", "s _||_c g", "s _||_p g", "e _||_c s",
             "r _||_c r", "e _||_p s", "r _||_p r", "e _||_p s,g",
         ):
-            fast = run(capsys, "check", TABLE1, atom, "--method", "fast", "--exit-status")[0]
+            auto = run(capsys, "check", TABLE1, atom, "--exit-status")[0]
             oracle = run(capsys, "check", TABLE1, atom, "--method", "oracle", "--exit-status")[0]
-            assert fast == oracle, atom
+            assert auto == oracle, atom
 
     def test_parse_error_exits_2(self, capsys):
         code, _, err = run(capsys, "check", TABLE1, "e _||_ nope")
@@ -202,49 +203,22 @@ class TestWitnessAndCnf:
 
 
 class TestConfig:
-    def test_env_overrides_default_and_flag_overrides_env(self, capsys, tmp_path):
-        sigma = tmp_path / "sigma.txt"
-        sigma.write_text("A _||_c C\nB _||_c C\n")
-        target = tmp_path / "w.csv"
-        env_key = "INDEPKIT_MAX_ROWS"
-        os.environ[env_key] = "1"
-        try:
-            code, out, _ = run(
-                capsys, "implies", str(sigma), "A,B _||_c C",
-                "--counterexample", str(target),
-            )
-            assert code == 0
-            assert "no counterexample" in out
-            code, out, _ = run(
-                capsys, "implies", str(sigma), "A,B _||_c C",
-                "--counterexample", str(target), "--max-rows", "4",
-            )
-            assert code == 0
-            assert "counterexample written" in out
-        finally:
-            del os.environ[env_key]
-
-    def test_config_file_and_env_precedence(self, capsys, tmp_path):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"max_rows": 1}))
+    def test_max_rows_flag_bounds_the_search(self, capsys, tmp_path):
         sigma = tmp_path / "sigma.txt"
         sigma.write_text("A _||_c C\nB _||_c C\n")
         target = tmp_path / "w.csv"
         code, out, _ = run(
             capsys, "implies", str(sigma), "A,B _||_c C",
-            "--config", str(config), "--counterexample", str(target),
+            "--counterexample", str(target), "--max-rows", "1",
         )
-        assert code == 0 and "no counterexample" in out
-        # environment beats the config file
-        os.environ["INDEPKIT_MAX_ROWS"] = "4"
-        try:
-            code, out, _ = run(
-                capsys, "implies", str(sigma), "A,B _||_c C",
-                "--config", str(config), "--counterexample", str(target),
-            )
-            assert code == 0 and "counterexample written" in out
-        finally:
-            del os.environ["INDEPKIT_MAX_ROWS"]
+        assert code == 0
+        assert "no counterexample" in out
+        code, out, _ = run(
+            capsys, "implies", str(sigma), "A,B _||_c C",
+            "--counterexample", str(target), "--max-rows", "4",
+        )
+        assert code == 0
+        assert "counterexample written" in out
 
     def test_oracle_bound_flag(self, capsys):
         code, _, err = run(
@@ -254,21 +228,62 @@ class TestConfig:
         assert code == 2
         assert "oracle bound" in err
 
-    def test_unknown_config_key_rejected(self, capsys, tmp_path):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"bogus": 1}))
-        code, _, err = run(
-            capsys, "closure", str(DATA / "sigma_certain.txt"),
-            "--config", str(config),
-        )
-        assert code == 2
-
-    def test_seed_is_not_a_setting(self, capsys, tmp_path):
+    def test_seed_is_not_a_setting(self, capsys):
         # nothing in the runtime is random, so there is no seed to set
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"seed": 1}))
+        with pytest.raises(SystemExit) as exc:
+            main(["closure", str(DATA / "sigma_certain.txt"), "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["witness", "exchange-failure", "--max-rows", "1"],
+            ["check", TABLE1, "e _||_p s", "--limit", "3"],
+            ["check", TABLE1, "e _||_p s", "--max-rows", "99"],
+            ["implies", str(DATA / "sigma_certain.txt"), "e _||_c s", "--oracle-bound", "9"],
+            ["closure", str(DATA / "sigma_certain.txt"), "--max-rows", "2"],
+            ["derive", str(DATA / "sigma_certain.txt"), "e _||_c s", "--domain-size", "3"],
+            ["from-cnf", str(DATA / "example.cnf"), "--limit", "2"],
+            ["closure", str(DATA / "sigma_certain.txt"), "--config", "c.json"],
+            ["check", TABLE1, "e _||_p s", "--output", "json"],
+            ["check", TABLE1, "e _||_p s", "--method", "fast"],
+        ],
+    )
+    def test_flag_not_read_by_the_command_is_an_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["implies", str(DATA / "sigma_certain.txt"), "e _||_c s", "--max-rows", "0"],
+            ["check", TABLE1, "e _||_c s", "--oracle-bound", "0"],
+            ["closure", str(DATA / "sigma_certain.txt"), "--limit", "-1"],
+            ["implies", str(DATA / "sigma_certain.txt"), "e _||_c s", "--max-attributes", "x"],
+        ],
+    )
+    def test_non_positive_setting_is_an_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
+
+    def test_domain_size_below_two_is_a_typed_error(self, capsys):
         code, _, err = run(
-            capsys, "closure", str(DATA / "sigma_certain.txt"),
-            "--config", str(config),
+            capsys, "implies", str(DATA / "sigma_certain.txt"), "e _||_c s",
+            "--domain-size", "1",
         )
-        assert code == 2 and "unknown config key 'seed'" in err
+        assert code == 2 and "domain size at least 2" in err
+
+    def test_implies_json_keys(self, capsys):
+        code, out, _ = run(
+            capsys, "implies", str(DATA / "sigma_certain.txt"), "e _||_c s,g", "--json"
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert set(data) == {"atom", "verdict", "completeness", "via", "counterexample"}
+        assert data["via"] == "certain-as-plain" and data["completeness"] == "complete"

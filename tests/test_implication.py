@@ -18,6 +18,7 @@ from indepkit import (
     closure,
     constants_of,
     derives,
+    implies,
     implies_cia,
     implies_ia,
     implies_mixed_disjoint,
@@ -163,6 +164,45 @@ class TestMixedDisjoint:
                 derives(sigma, goal, SYSTEM_DISJOINT_MIXED) is not None
             )
             assert implies_mixed_disjoint(sigma, goal) == expected, (sigma, goal)
+
+
+class TestImplies:
+    @pytest.mark.parametrize(
+        "premises, goal, verdict, completeness, route",
+        [
+            (("A _||_ B", "A,B _||_ C"), "A _||_ B,C", True, "complete", "closure-I"),
+            (("e _||_c s", "e,s _||_c g"), "e _||_c s,g", True, "complete", "certain-as-plain"),
+            (("e _||_p s", "e,s _||_p g"), "e _||_p s,g", False, "complete", "pia-star"),
+            (("A,B _||_p C,D,E,F",), "A,B _||_p C,D,E,F", True, "sound-only", "derivability-I_p"),
+            (("A _||_p B", "A _||_c C"), "A _||_c C", True, "complete", "certain-core"),
+            (("A _||_p B", "A _||_c C"), "A _||_c B", False, "complete", "certain-core"),
+            (("e _||_c s", "e,s _||_p g"), "e _||_p s,g", True, "sound-only",
+             "derivability-disjoint-mixed"),
+            (("A _||_c B", "A,C _||_p C"), "A _||_p B", True, "sound-only", "derivability-full"),
+        ],
+    )
+    def test_routes(self, premises, goal, verdict, completeness, route):
+        sound_only = completeness == "sound-only"
+        report = implies(atoms(*premises), parse_atom(goal), sound_only=sound_only)
+        assert (report.verdict, report.completeness, report.route) == (
+            verdict, completeness, route,
+        )
+
+    def test_plain_mixed_with_modal_atoms(self):
+        with pytest.raises(FragmentError):
+            implies(atoms("A _||_ B"), parse_atom("A _||_c B"), sound_only=True)
+
+    @pytest.mark.parametrize(
+        "premises, goal",
+        [
+            (("A,B _||_p C,D,E,F",), "A,B _||_p C,D,E,F"),
+            (("e _||_c s", "e,s _||_p g"), "e _||_p s,g"),
+            (("A _||_c B", "A,C _||_p C"), "A _||_p B"),
+        ],
+    )
+    def test_sound_only_fragments_need_the_flag(self, premises, goal):
+        with pytest.raises(FragmentError, match="sound_only"):
+            implies(atoms(*premises), parse_atom(goal))
 
 
 class TestSearchCounterexample:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -22,6 +23,7 @@ from indepkit import (
     pia_counting_bound,
     FragmentError,
     parse_atom,
+    relation_from_csv,
 )
 from indepkit.model_check import ground
 from helpers import random_relation, random_sides
@@ -200,6 +202,22 @@ class TestPiaSearch:
         assert report.verdict
         assert check_ia(report.witness, x, y)
         assert report.witness.size == r.size
+
+    def test_search_depth_does_not_grow_the_call_stack(self):
+        # on rows a_i,*,0,0 the search adds one support element per row
+        rows = "".join(f"a{i},*,0,0\n" for i in range(120))
+        r = relation_from_csv("A,B,C,D\n" + rows)
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 60)
+        try:
+            report = check_pia(r, {"A", "B"}, {"C", "D"})
+        finally:
+            sys.setrecursionlimit(limit)
+        assert report.verdict and report.stats["nodes"] == 121
+        assert check_ia(report.witness, {"A", "B"}, {"C", "D"})
 
     def test_agrees_with_oracle_on_random_instances(self):
         rng = random.Random(21)
