@@ -5,12 +5,16 @@ decider assigns missing product cells to null pools, and the support search
 assigns support pairs to tuple copies.  Both are bipartite max-flow problems
 whose source edges carry one unit per item, so augmenting paths alternate
 between items and slots and need no general flow network.
+
+``Assignment`` places items one at a time and removes them last in, first
+out, which is what the support search needs as its support sets grow and
+shrink; ``max_flow_assignment`` places a whole network at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 
 @dataclass(frozen=True)
@@ -25,18 +29,27 @@ class FlowNetwork:
     edges: tuple[tuple[int, int], ...]
 
 
-def max_flow_assignment(network: FlowNetwork) -> list[int] | None:
-    """Slot index of every item, or ``None`` as soon as one item cannot be
-    placed.  Items are placed in order, each along a shortest augmenting path
-    found breadth-first (ties broken by edge order); earlier items may move
-    to other slots but stay placed, so a failure is final."""
-    adjacency: list[list[int]] = [[] for _ in network.items]
-    for item, slot in network.edges:
-        adjacency[item].append(slot)
-    room = list(network.capacities)
-    holders: list[list[int]] = [[] for _ in room]
-    slot_of: list[int] = [-1] * len(adjacency)
-    for start in range(len(adjacency)):
+class Assignment:
+    """Items placed on slots of fixed capacity, every item on a slot it has
+    an edge to.  ``add`` places a new item along one shortest augmenting path
+    found breadth-first (ties broken by the order of its slots); earlier
+    items may move to other slots of their own but stay placed.  ``pop``
+    removes the newest item and frees its slot, which leaves every other
+    item where it is, so removal needs no record of the moves."""
+
+    def __init__(self, capacities: Sequence[int]):
+        self.room = list(capacities)
+        self.holders: list[list[int]] = [[] for _ in self.room]
+        self.adjacency: list[list[int]] = []
+        self.slot_of: list[int] = []
+
+    def add(self, slots: Iterable[int]) -> bool:
+        """Place a new item that may take any of ``slots``; ``False``, with
+        nothing changed, when no augmenting path reaches a free slot."""
+        start = len(self.adjacency)
+        self.adjacency.append(list(slots))
+        self.slot_of.append(-1)
+        room, holders, adjacency = self.room, self.holders, self.adjacency
         reached_from: dict[int, int] = {}  # slot -> item whose edge reached it
         frontier = [start]
         free = -1
@@ -55,15 +68,38 @@ def max_flow_assignment(network: FlowNetwork) -> list[int] | None:
                     break
             frontier = next_frontier
         if free < 0:
-            return None
+            self.adjacency.pop()
+            self.slot_of.pop()
+            return False
         room[free] -= 1
         slot = free
         while slot >= 0:
             item = reached_from[slot]
-            previous = slot_of[item]
-            slot_of[item] = slot
+            previous = self.slot_of[item]
+            self.slot_of[item] = slot
             holders[slot].append(item)
             if previous >= 0:
                 holders[previous].remove(item)
             slot = previous
-    return slot_of
+        return True
+
+    def pop(self) -> None:
+        """Remove the most recently added item."""
+        slot = self.slot_of.pop()
+        self.adjacency.pop()
+        self.holders[slot].remove(len(self.slot_of))
+        self.room[slot] += 1
+
+
+def max_flow_assignment(network: FlowNetwork) -> list[int] | None:
+    """Slot index of every item, or ``None`` as soon as one item cannot be
+    placed.  Items are placed in order by ``Assignment.add``; a failure is
+    final, because placed items never leave."""
+    slots_of: list[list[int]] = [[] for _ in network.items]
+    for item, slot in network.edges:
+        slots_of[item].append(slot)
+    assignment = Assignment(network.capacities)
+    for slots in slots_of:
+        if not assignment.add(slots):
+            return None
+    return assignment.slot_of

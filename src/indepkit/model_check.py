@@ -11,7 +11,11 @@ exact fast path:
   one copy from a null pool ``(a, *)``, ``(*, b)`` or ``(*, *)``;
 * general possible atoms run a depth-first search over candidate support
   sets, pruned by a counting bound and by assigning support pairs to tuple
-  copies.
+  copies.  The search keeps its state across nodes: each row's matching
+  support values, the rows still to cover, and the assignment.  A node adds
+  one support value, the pairs it forms and one augmenting path per pair;
+  leaving the node pops them again, which needs no journal because every
+  remaining pair still sits on a copy it may take.
 
 Both assignments run on the one kernel in ``indepkit.flow``, and every
 witness is finished by ``ground``, which fills the nulls left over.
@@ -19,6 +23,7 @@ witness is finished by ``ground``, which fills the nulls left over.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import math
@@ -26,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import FragmentError, OracleInfeasibleError
-from .flow import FlowNetwork, max_flow_assignment
+from .flow import Assignment, FlowNetwork, max_flow_assignment
 from .relation import NULL, Relation, Schema, relation_to_csv
 
 DEFAULT_ORACLE_BOUND = 2**20
@@ -336,140 +341,225 @@ def _column_candidates(r: Relation, j: int) -> tuple[str, ...]:
     return tuple(occurring) + tuple(fresh[:nulls])
 
 
+class _Side:
+    """One side of the support search: its support values, the rows each
+    value matches, for each row the indices of the values it matches, and
+    ``digest``, the XOR of the values' hashes.
+
+    Rows are grouped by their pattern on the side's columns.  A value matches
+    the patterns got by blanking it at each null-mask that occurs, so pushing
+    a value looks those patterns up instead of scanning the rows."""
+
+    def __init__(self, r: Relation, cols: tuple[int, ...]):
+        self.cols = cols
+        self.cand = [_column_candidates(r, j) for j in cols]
+        self.patterns = [tuple(row[j] for j in cols) for row in r.rows]
+        self.groups: dict[tuple, list[int]] = {}
+        for i, pattern in enumerate(self.patterns):
+            self.groups.setdefault(pattern, []).append(i)
+        self.masks = list(dict.fromkeys(tuple(v is NULL for v in p) for p in self.groups))
+        # how many extensions a row's pattern has: its branching score
+        self.scores = [
+            math.prod(len(c) if v is NULL else 1 for v, c in zip(p, self.cand))
+            for p in self.patterns
+        ]
+        self.values: list[tuple[str, ...]] = []
+        self.rows_of: list[set[int]] = []
+        self.opts: list[list[int]] = [[] for _ in self.patterns]
+        self.digest = 0
+
+    def push(self, value: tuple[str, ...]) -> set[int]:
+        """Add a support value; returns the rows it matches, whose option
+        lists the caller extends."""
+        rows: set[int] = set()
+        for mask in self.masks:
+            key = tuple(NULL if blank else v for v, blank in zip(value, mask))
+            rows.update(self.groups.get(key, ()))
+        self.values.append(value)
+        self.rows_of.append(rows)
+        self.digest ^= hash(value)
+        return rows
+
+    def pop(self) -> set[int]:
+        """Remove the newest support value; returns the rows it matched."""
+        self.digest ^= hash(self.values.pop())
+        return self.rows_of.pop()
+
+    def extensions(self, i: int):
+        choices = [(v,) if v is not NULL else c for v, c in zip(self.patterns[i], self.cand)]
+        return itertools.product(*choices)
+
+
 class _PiaSearch:
     """Depth-first search for a grounding with cross-product support.
 
     The state is a pair of candidate support sets (one per side).  Complete
-    side-tuples force initial members; a row incompatible with the current
-    sets branches over its possible groundings; an assignment of support
-    pairs to tuple copies prunes states that cannot cover the product
-    (supersets only add pairs, so infeasibility is final).  ``result`` holds
-    the witness rows, grounded on the two sides only."""
+    side-tuples force initial members; a row that no current value matches
+    on a side branches over its possible groundings there, fewest first; an
+    assignment of support pairs to tuple copies prunes states that cannot
+    cover the product (supersets only add pairs, so infeasibility is final).
+
+    The state is kept incrementally, so a node costs what its new support
+    value adds.  Pushing a value adds its index to the option lists of the
+    rows it matches and updates ``open``, the sorted branch keys of the rows
+    still lacking a value on a side.  Visiting the new state adds only the
+    pairs the value forms with the other side, each hosted by the rows both
+    of its values match and placed by one augmenting path.  Leaving a state
+    undoes it without a journal: popping its pairs frees their copies and
+    leaves every other pair on a copy it may take, and popping its value
+    reverses the option lists.  Visited states are filed by the digests of
+    the two sides; a state is compared with the states filed under the same
+    digests by expanding their paths of pushed values, so no node copies the
+    support sets, and a digest clash costs a comparison, never a wrong
+    prune.  ``result`` holds the witness rows, grounded on the two sides
+    only."""
 
     def __init__(self, r: Relation, x_cols: tuple[int, ...], y_cols: tuple[int, ...]):
         self.rows = r.rows
         self.counts = r.counts
         self.total = r.size
-        self.x_cols = x_cols
-        self.y_cols = y_cols
-        self.cand = {j: _column_candidates(r, j) for j in x_cols + y_cols}
-        self.x_pat = [tuple(row[j] for j in x_cols) for row in self.rows]
-        self.y_pat = [tuple(row[j] for j in y_cols) for row in self.rows]
+        self.x = _Side(r, x_cols)
+        self.y = _Side(r, y_cols)
+        self.sides = (self.x, self.y)
+        self.assignment = Assignment(r.counts)
+        self.pairs: list[tuple[int, int]] = []
+        # (extension count, row, side) of each row that no value matches on
+        # x, or else on y; the first entry is the branch
+        self.open = sorted((score, i, 0) for i, score in enumerate(self.x.scores))
         self.nodes = 0
-        self.visited: set[tuple[frozenset, frozenset]] = set()
+        self.augmentations = 0
+        self.visited: dict[tuple[int, int], list] = {}
         self.result: list[list[str]] | None = None
+        for s, side in enumerate(self.sides):
+            for value in dict.fromkeys(p for p in side.patterns if NULL not in p):
+                self._push(s, value)
+        self.initial = (len(self.x.values), len(self.y.values))
 
-    @staticmethod
-    def _matches(pattern: tuple[str, ...], value: tuple[str, ...]) -> bool:
-        return all(p == NULL or p == v for p, v in zip(pattern, value))
+    def _key(self, i: int):
+        """Row i's entry in ``open``, or None once both sides match it."""
+        if not self.x.opts[i]:
+            return self.x.scores[i], i, 0
+        if not self.y.opts[i]:
+            return self.y.scores[i], i, 1
+        return None
 
-    def _extensions(self, pattern: tuple[str, ...], cols: tuple[int, ...]):
-        choices = [
-            (v,) if v != NULL else self.cand[j] for v, j in zip(pattern, cols)
-        ]
-        return itertools.product(*choices)
+    def _rekey(self, before, after) -> None:
+        if before != after:
+            if before is not None:
+                del self.open[bisect.bisect_left(self.open, before)]
+            if after is not None:
+                bisect.insort(self.open, after)
 
-    def _extension_count(self, pattern: tuple[str, ...], cols: tuple[int, ...]) -> int:
-        return math.prod(
-            1 if v != NULL else len(self.cand[j]) for v, j in zip(pattern, cols)
-        )
+    def _push(self, s: int, value: tuple[str, ...]) -> None:
+        side = self.sides[s]
+        k = len(side.values)
+        for i in side.push(value):
+            opts = side.opts[i]
+            if opts:
+                opts.append(k)
+            else:
+                before = self._key(i)
+                opts.append(k)
+                self._rekey(before, self._key(i))
+
+    def _pop(self, s: int) -> None:
+        side = self.sides[s]
+        for i in side.pop():
+            opts = side.opts[i]
+            if len(opts) > 1:
+                opts.pop()
+            else:
+                before = self._key(i)
+                opts.pop()
+                self._rekey(before, self._key(i))
 
     def run(self) -> bool:
         """Depth-first over support states from an explicit stack: each entry
-        is the side list a state extends and its iterator of extensions, or
-        None for a state that was pruned.  Leaving a state removes the
-        support element that led to it."""
-        u0: dict[tuple[str, ...], None] = {}
-        w0: dict[tuple[str, ...], None] = {}
-        for i in range(len(self.rows)):
-            if NULL not in self.x_pat[i]:
-                u0[self.x_pat[i]] = None
-            if NULL not in self.y_pat[i]:
-                w0[self.y_pat[i]] = None
-        u, w = list(u0), list(w0)
-        stack = [self._visit(u, w)]
+        is the number of pairs its state placed, either None (pruned) or the
+        side it branches on with its iterator of extensions, and its path.  A
+        path is None for the initial state, else (parent path, side, value).
+        Leaving a state pops its pairs and the support value that led to it."""
+        stack = [self._visit(None)]
         while stack and self.result is None:
-            step = stack[-1]
-            ext = next(step[1], None) if step else None
+            placed, branch, path = stack[-1]
+            ext = next(branch[1], None) if branch else None
             if ext is None:
                 stack.pop()
+                for _ in range(placed):
+                    self.assignment.pop()
+                    self.pairs.pop()
                 if stack:
-                    stack[-1][0].pop()
+                    self._pop(stack[-1][1][0])
                 continue
-            step[0].append(ext)
-            stack.append(self._visit(u, w))
+            self._push(branch[0], ext)
+            stack.append(self._visit((path, branch[0], ext)))
         return self.result is not None
 
-    def _saturate(self, u, w, x_opts, y_opts):
-        """Assign every (u, w) pair to a distinct tuple copy able to ground to
-        it; returns the per-row pair lists or None if some pair is uncovered."""
-        pairs = [(ku, kw) for ku in range(len(u)) for kw in range(len(w))]
-        rows = range(len(self.rows))
-        edges = tuple(
-            (p, i)
-            for p, (ku, kw) in enumerate(pairs)
-            for i in rows
-            if ku in x_opts[i] and kw in y_opts[i]
-        )
-        assignment = max_flow_assignment(FlowNetwork(pairs, self.rows, self.counts, edges))
-        if assignment is None:
-            return None
-        hosted: list[list[tuple[int, int]]] = [[] for _ in rows]
-        for pair, i in zip(pairs, assignment):
-            hosted[i].append(pair)
-        return hosted
+    def _sets(self, path) -> tuple[set, set]:
+        """The support sets of the state a path leads to."""
+        sets = tuple(set(side.values[:n]) for side, n in zip(self.sides, self.initial))
+        while path:
+            path, s, value = path
+            sets[s].add(value)
+        return sets
 
-    def _visit(self, u: list, w: list):
-        """Count the state (u, w) and prune it (None), record its witness in
-        ``result`` (None), or return the side to branch on and its
-        extensions."""
+    def _seen(self, path) -> bool:
+        """Was the current state visited before?  If not, file it."""
+        filed = self.visited.setdefault((self.x.digest, self.y.digest), [])
+        if filed:
+            current = (set(self.x.values), set(self.y.values))
+            if any(self._sets(other) == current for other in filed):
+                return True
+        filed.append(path)
+        return False
+
+    def _visit(self, path):
+        """Count the current state, which ``path`` leads to, and place its
+        new pairs.  Returns how many pairs were placed, either None (pruned,
+        or a witness stored in ``result``) or the side to branch on and its
+        extensions, and the path."""
         self.nodes += 1
-        key = (frozenset(u), frozenset(w))
-        if key in self.visited:
-            return None
-        self.visited.add(key)
-        if len(u) * len(w) > self.total:
-            return None
-        x_opts = [
-            {k for k, val in enumerate(u) if self._matches(self.x_pat[i], val)}
-            for i in range(len(self.rows))
-        ]
-        y_opts = [
-            {k for k, val in enumerate(w) if self._matches(self.y_pat[i], val)}
-            for i in range(len(self.rows))
-        ]
-        hosted = self._saturate(u, w, x_opts, y_opts)
-        if hosted is None:
-            return None
-        branch = None  # (extension count, row, side)
-        for i in range(len(self.rows)):
-            if not x_opts[i]:
-                score = (self._extension_count(self.x_pat[i], self.x_cols), i, "x")
-            elif not y_opts[i]:
-                score = (self._extension_count(self.y_pat[i], self.y_cols), i, "y")
-            else:
-                continue
-            if branch is None or score < branch:
-                branch = score
-        if branch is None:
-            self.result = self._build_witness(u, w, x_opts, y_opts, hosted)
-            return None
-        _, i, side = branch
-        if side == "x":
-            return u, self._extensions(self.x_pat[i], self.x_cols)
-        return w, self._extensions(self.y_pat[i], self.y_cols)
+        if self._seen(path):
+            return 0, None, path
+        x, y = self.x, self.y
+        nu, nw = len(x.values), len(y.values)
+        if nu * nw > self.total:
+            return 0, None, path
+        s = path[1] if path else None
+        if s is None:
+            new = itertools.product(range(nu), range(nw))
+        elif s == 0:
+            new = ((nu - 1, kw) for kw in range(nw))
+        else:
+            new = ((ku, nw - 1) for ku in range(nu))
+        placed = 0
+        for ku, kw in new:
+            self.augmentations += 1
+            if not self.assignment.add(x.rows_of[ku] & y.rows_of[kw]):
+                return placed, None, path
+            self.pairs.append((ku, kw))
+            placed += 1
+        if not self.open:
+            self.result = self._build_witness()
+            return placed, None, path
+        _, i, b = self.open[0]
+        return placed, (b, self.sides[b].extensions(i)), path
 
-    def _build_witness(self, u, w, x_opts, y_opts, hosted) -> list[list[str]]:
-        """Ground each copy of row i to its hosted pair, or to the first pair
+    def _build_witness(self) -> list[list[str]]:
+        """Ground each copy of row i to a pair it hosts, or to the first pair
         it may take once the hosted pairs run out."""
+        x, y = self.x, self.y
+        hosted: list[list[tuple[int, int]]] = [[] for _ in self.rows]
+        for pair, i in zip(self.pairs, self.assignment.slot_of):
+            hosted[i].append(pair)
         grounded: list[list[str]] = []
         for i, (row, count) in enumerate(zip(self.rows, self.counts)):
-            spare = (min(x_opts[i]), min(y_opts[i]))
+            spare = (x.opts[i][0], y.opts[i][0])
             for ku, kw in hosted[i] + [spare] * (count - len(hosted[i])):
                 new = list(row)
-                for j, v in zip(self.x_cols, u[ku]):
+                for j, v in zip(x.cols, x.values[ku]):
                     new[j] = v
-                for j, v in zip(self.y_cols, w[kw]):
+                for j, v in zip(y.cols, y.values[kw]):
                     new[j] = v
                 grounded.append(new)
         return grounded
@@ -503,7 +593,7 @@ def check_pia(r: Relation, x: Iterable[str], y: Iterable[str]) -> CheckReport:
 
     search = _PiaSearch(r, xi, yi)
     found = search.run()
-    stats = {"nodes": search.nodes}
+    stats = {"nodes": search.nodes, "augmentations": search.augmentations}
     if not found:
         return CheckReport(False, METHOD_PIA_SEARCH, stats=stats)
     witness = ground(r.schema, search.result, fixed=overlap_fixed)

@@ -76,6 +76,28 @@ def random_atom_set(
     return atoms
 
 
+def is_grounding(r: Relation, witness: Relation) -> bool:
+    """Is the witness complete and a one-to-one match of the relation's
+    copies in which every non-null cell is kept?"""
+    if not witness.is_complete() or witness.size != r.size:
+        return False
+    rows = [row for row, c in zip(r.rows, r.counts) for _ in range(c)]
+    copies = [row for row, c in zip(witness.rows, witness.counts) for _ in range(c)]
+    holder = [-1] * len(copies)  # copy -> index of the row it grounds
+
+    def place(i: int, seen: set[int]) -> bool:
+        for k, copy in enumerate(copies):
+            if k in seen or any(v is not NULL and v != w for v, w in zip(rows[i], copy)):
+                continue
+            seen.add(k)
+            if holder[k] < 0 or place(holder[k], seen):
+                holder[k] = i
+                return True
+        return False
+
+    return all(place(i, set()) for i in range(len(rows)))
+
+
 def brute_force_sat(phi: CnfFormula) -> bool:
     variables = phi.variables()
     if not variables:

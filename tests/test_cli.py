@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from indepkit import check_atom, parse_atom, read_relation, relation_from_csv
+from indepkit import check_atom, check_ia, parse_atom, read_relation, relation_from_csv
 from indepkit.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -58,6 +58,19 @@ class TestCheck:
             auto = run(capsys, "check", TABLE1, atom, "--exit-status")[0]
             oracle = run(capsys, "check", TABLE1, atom, "--method", "oracle", "--exit-status")[0]
             assert auto == oracle, atom
+
+    def test_possible_search_on_2000_rows(self, capsys, tmp_path):
+        # rows a_i,*,0,0: the support search adds one element per row, so
+        # its cost per node must not grow with the rows already covered
+        path = tmp_path / "ladder.csv"
+        path.write_text("A,B,C,D\n" + "".join(f"a{i},*,0,0\n" for i in range(2000)))
+        code, out, _ = run(capsys, "check", str(path), "A,B _||_p C,D", "--json", "--exit-status")
+        assert code == 0
+        data = json.loads(out)
+        assert data["stats"]["nodes"] == 2001
+        witness = relation_from_csv(data["witness"])
+        assert witness.size == 2000
+        assert check_ia(witness, {"A", "B"}, {"C", "D"})
 
     def test_parse_error_exits_2(self, capsys):
         code, _, err = run(capsys, "check", TABLE1, "e _||_ nope")

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from indepkit import NULL, Relation, Schema
-from indepkit.flow import FlowNetwork, max_flow_assignment
+from indepkit.flow import Assignment, FlowNetwork, max_flow_assignment
 from indepkit.model_check import build_flow_network
 
 
@@ -63,6 +63,46 @@ class TestFlowNetwork:
         # no item is left over when there are more items than capacity
         full = FlowNetwork((0, 1, 2), (0,), (2,), ((0, 0), (1, 0), (2, 0)))
         assert max_flow_assignment(full) is None
+
+
+class TestAssignment:
+    def test_add_and_pop_agree_with_brute_force(self):
+        # random sequences of add and pop on at most 6 items and 4 slots;
+        # after each step the placed items must be exactly as feasible as
+        # the brute-force search says, and each must sit on its own slot
+        rng = random.Random(33)
+        for _ in range(200):
+            n_slots = rng.randint(1, 4)
+            capacities = tuple(rng.randint(0, 2) for _ in range(n_slots))
+            assignment = Assignment(capacities)
+            placed: list[list[int]] = []
+            for _ in range(12):
+                if placed and rng.random() < 0.35:
+                    assignment.pop()
+                    placed.pop()
+                elif len(placed) < 6:
+                    slots = [s for s in range(n_slots) if rng.random() < 0.5]
+                    added = assignment.add(slots)
+                    grown = placed + [slots]
+                    edges = tuple((i, s) for i, own in enumerate(grown) for s in own)
+                    net = FlowNetwork(tuple(range(len(grown))), tuple(range(n_slots)), capacities, edges)
+                    assert added == brute_force_assignable(net), (capacities, grown)
+                    if added:
+                        placed.append(slots)
+                edges = tuple((i, s) for i, own in enumerate(placed) for s in own)
+                net = FlowNetwork(tuple(range(len(placed))), tuple(range(n_slots)), capacities, edges)
+                assert_respects_network(net, assignment.slot_of)
+
+    def test_pop_frees_the_slot_of_the_newest_item(self):
+        # the second item pushes the first to slot 1; popping it leaves the
+        # first item there and slot 0 free for a third
+        assignment = Assignment((1, 1))
+        assert assignment.add([0, 1]) and assignment.add([0])
+        assert assignment.slot_of == [1, 0]
+        assert not assignment.add([1])
+        assignment.pop()
+        assert assignment.slot_of == [1]
+        assert assignment.add([0]) and assignment.slot_of == [1, 0]
 
 
 class TestBuildNetwork:

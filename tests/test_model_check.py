@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from indepkit import (
+    CnfFormula,
     NULL,
     OracleInfeasibleError,
     Relation,
@@ -18,19 +19,67 @@ from indepkit import (
     check_atom,
     check_pia_unary,
     cia_oracle_report,
+    cnf_to_relation,
     exchange_failure_relation,
     is_certainly_constant,
     pia_counting_bound,
     FragmentError,
     parse_atom,
+    pia_separating_family,
     relation_from_csv,
 )
+from indepkit import model_check
 from indepkit.model_check import ground
-from helpers import random_relation, random_sides
+from helpers import is_grounding, random_relation, random_sides
 
 
 def rel(attrs, domains, rows, counts=None) -> Relation:
     return Relation.from_rows(Schema(tuple(attrs), tuple(domains)), rows, counts)
+
+
+def ladder(n: int) -> Relation:
+    """Rows a_i,*,0,0: the search adds one support element per row."""
+    return relation_from_csv("A,B,C,D\n" + "".join(f"a{i},*,0,0\n" for i in range(n)))
+
+
+def criterion_6_instance():
+    relation, goal = cnf_to_relation(CnfFormula(3, ((2, 3), (1, -2, 3), (-3,))))
+    return relation, goal.lhs, goal.rhs
+
+
+def separating_family_instance():
+    return pia_separating_family(3, 2), {"X1", "X2", "X3", "Y1"}, {"Y2"}
+
+
+def revisiting_instance():
+    # one of 3 among 60,000 random relations whose search reaches a support
+    # state twice with work below it: without the visited check it takes 13
+    # nodes
+    return (
+        rel(
+            "ABCDE",
+            [("0", "1")] * 4 + [("0", "1", "2")],
+            [("0", "0", "0", NULL, "1"), (NULL, NULL, "0", "1", "0"), (NULL, "0", NULL, NULL, NULL), ("0", NULL, "1", NULL, NULL), (NULL, NULL, NULL, "0", NULL)],
+            [1, 2, 1, 1, 1],
+        ),
+        {"B", "D"},
+        {"C", "E"},
+    )
+
+
+def backtracking_instance():
+    # satisfiable, but the search leaves states whose pairs it had placed
+    # before it finds the witness
+    return (
+        rel(
+            "ABC",
+            [("0", "1"), ("0", "1"), ("0", "1", "2")],
+            [("1", NULL, "0"), ("1", "0", "2"), ("0", "0", NULL), (NULL, "1", NULL)],
+            [1, 2, 2, 1],
+        ),
+        {"B", "C"},
+        {"A"},
+    )
 
 
 class TestCheckIa:
@@ -204,9 +253,7 @@ class TestPiaSearch:
         assert report.witness.size == r.size
 
     def test_search_depth_does_not_grow_the_call_stack(self):
-        # on rows a_i,*,0,0 the search adds one support element per row
-        rows = "".join(f"a{i},*,0,0\n" for i in range(120))
-        r = relation_from_csv("A,B,C,D\n" + rows)
+        r = ladder(120)
         depth, frame = 0, sys._getframe()
         while frame is not None:
             depth, frame = depth + 1, frame.f_back
@@ -218,6 +265,44 @@ class TestPiaSearch:
             sys.setrecursionlimit(limit)
         assert report.verdict and report.stats["nodes"] == 121
         assert check_ia(report.witness, {"A", "B"}, {"C", "D"})
+
+    @pytest.mark.parametrize("clash", [False, True], ids=["own-digests", "one-digest"])
+    @pytest.mark.parametrize(
+        "instance, verdict, nodes",
+        [
+            (lambda: (ladder(20), {"A", "B"}, {"C", "D"}), True, 21),
+            (lambda: (ladder(40), {"A", "B"}, {"C", "D"}), True, 41),
+            (criterion_6_instance, True, 12),
+            (separating_family_instance, True, 6),
+            (revisiting_instance, False, 10),
+            (backtracking_instance, True, 6),
+        ],
+        ids=["ladder-20", "ladder-40", "criterion-6", "separating-family-3-2", "revisit", "backtrack"],
+    )
+    def test_search_tree_is_pinned(self, instance, verdict, nodes, clash, monkeypatch):
+        if clash:
+            # every support value hashes alike, so all states share one
+            # digest and only their paths tell them apart
+            monkeypatch.setattr(model_check, "hash", lambda value: 0, raising=False)
+        r, x, y = instance()
+        report = check_pia(r, x, y)
+        assert (report.verdict, report.stats["nodes"]) == (verdict, nodes)
+        if verdict:
+            assert check_ia(report.witness, x, y)
+            assert report.witness.size == r.size
+
+    def test_backtracking_leaves_a_consistent_assignment(self):
+        r, x, y = backtracking_instance()
+        report = check_pia(r, x, y)
+        # the witness needs 2 x 2 pairs; the other augmenting paths placed
+        # pairs in states the search left, or failed there
+        assert report.stats["augmentations"] > 4
+        assert check_ia(report.witness, x, y)
+        assert is_grounding(r, report.witness)
+
+    def test_each_ladder_node_runs_one_augmenting_path(self):
+        report = check_pia(ladder(20), {"A", "B"}, {"C", "D"})
+        assert report.stats == {"nodes": 21, "augmentations": 20}
 
     def test_agrees_with_oracle_on_random_instances(self):
         rng = random.Random(21)
