@@ -53,7 +53,6 @@ from .model_check import (
     DEFAULT_ORACLE_BOUND,
     check_atom,
     check_cia_fast,
-    check_cia_oracle,
     check_ia,
     check_pia,
     check_pia_oracle,

@@ -9,8 +9,11 @@ these fragments is answered as derivability only (sound, not complete).
 ``implies`` picks the decider for a query's fragment and labels the answer.
 
 ``search_counterexample`` hunts for a relation that satisfies every premise
-and violates the goal, enumerating relations by row count, then null count,
-in a fixed order; absence within bounds proves nothing.
+and violates the goal.  It enumerates relations by row count, then null
+count, then lexicographically on the indices of their rows among the cells
+over the domain plus the null; absence within bounds proves nothing.  Of the
+relations that a per-column relabelling of values maps onto each other only
+the least is checked, so pruning does not change the first witness.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .atoms import (
     render_atom,
 )
 from .errors import FragmentError, SearchBoundsError
-from .model_check import check_cia_fast, check_ia, check_pia
+from .model_check import check_atom
 from .relation import NULL, Relation, Schema
 from .rules import (
     DEFAULT_ATTRIBUTE_LIMIT,
@@ -189,14 +192,6 @@ class SearchBounds:
             raise SearchBoundsError("bounds must be positive (domain size at least 2)")
 
 
-def _satisfies(r: Relation, atom: Atom) -> bool:
-    if atom.modality == PLAIN:
-        return check_ia(r, atom.lhs, atom.rhs)
-    if atom.modality == CERTAIN:
-        return check_cia_fast(r, atom.lhs, atom.rhs)
-    return check_pia(r, atom.lhs, atom.rhs).verdict
-
-
 def _row_multisets(
     cells: list[tuple[str, ...]],
     null_counts: list[int],
@@ -225,37 +220,43 @@ def _row_multisets(
     yield from rec(0, slots, budget, [])
 
 
-def _is_canonical(rows: list[tuple[str, ...]], domain: tuple[str, ...]) -> bool:
-    """Keep only the lexicographically least relabelling of each relation
-    under per-column value permutations (atom satisfaction is invariant
-    under them), to skip isomorphic candidates."""
-    width = len(rows[0])
-    rank = {v: i for i, v in enumerate(domain)}
-    rank[NULL] = len(domain)
-
-    def key(rs: list[tuple[str, ...]]) -> list[tuple[int, ...]]:
-        return sorted(tuple(rank[v] for v in row) for row in rs)
-
-    base = key(rows)
-    perms = list(itertools.permutations(domain))
+def _relabellings(
+    cells: list[tuple[str, ...]], domain: tuple[str, ...]
+) -> list[tuple[int, ...]]:
+    """Every non-identity per-column permutation of the domain values, as a
+    permutation of the indices of ``cells`` (nulls stay nulls).  Atom
+    satisfaction is invariant under these relabellings.  Empty when there
+    are more than 64 relabellings, which turns isomorph pruning off."""
+    width = len(cells[0])
+    if math.factorial(len(domain)) ** width > 64:
+        return []
+    index = {cell: i for i, cell in enumerate(cells)}
+    perms = [dict(zip(domain, p)) for p in itertools.permutations(domain)]
+    out = []
     for combo in itertools.product(perms, repeat=width):
-        if all(p == perms[0] for p in combo):
+        if all(m is perms[0] for m in combo):
             continue
-        mapping = [dict(zip(domain, p)) for p in combo]
-        relabeled = [
-            tuple(v if v == NULL else mapping[j][v] for j, v in enumerate(row))
-            for row in rows
-        ]
-        if key(relabeled) < base:
-            return False
-    return True
+        out.append(tuple(
+            index[tuple(v if v == NULL else m[v] for m, v in zip(combo, cell))]
+            for cell in cells
+        ))
+    return out
 
 
 def search_counterexample(
     sigma: Iterable[Atom], goal: Atom, bounds: SearchBounds = SearchBounds()
 ) -> Relation | None:
-    """First relation (rows ascending, then nulls ascending) that satisfies
-    every premise and violates the goal, or None within the bounds."""
+    """First relation that satisfies every premise and violates the goal, or
+    None within the bounds.
+
+    Candidates come in a fixed order: by row count, then by null count, then
+    lexicographically on the sorted indices of their rows among all cells
+    over the domain plus the null.  A candidate is skipped when a per-column
+    relabelling of its values gives a smaller index sequence.  Relabelling
+    keeps the row and null counts and every atom's verdict, so the least
+    member of each class is kept and comes first; pruning does not change
+    which witness is returned.
+    """
     premises = list(sigma)
     universe = sorted(attributes_of(premises) | goal.attributes)
     if not universe:
@@ -267,21 +268,18 @@ def search_counterexample(
     domain = tuple(str(i) for i in range(bounds.domain_size))
     schema = Schema(tuple(universe), tuple(domain for _ in universe))
     width = len(universe)
-    alphabet = domain + (NULL,)
-    cells = [row for row in itertools.product(alphabet, repeat=width)]
+    cells = list(itertools.product(domain + (NULL,), repeat=width))
     null_counts = [sum(1 for v in row if v == NULL) for row in cells]
-    relabellings = math.factorial(len(domain)) ** width
-    prune_isomorphic = relabellings <= 64
+    relabellings = _relabellings(cells, domain)
 
     for n_rows in range(1, bounds.max_rows + 1):
         for budget in range(0, n_rows * width + 1):
             for indices in _row_multisets(cells, null_counts, n_rows, budget, width):
-                rows = [cells[i] for i in indices]
-                if prune_isomorphic and not _is_canonical(rows, domain):
+                if any(tuple(sorted(p[i] for i in indices)) < indices for p in relabellings):
                     continue
-                candidate = Relation.from_rows(schema, rows, validate=False)
-                if _satisfies(candidate, goal):
+                candidate = Relation.from_rows(schema, [cells[i] for i in indices], validate=False)
+                if check_atom(candidate, goal).verdict:
                     continue
-                if all(_satisfies(candidate, a) for a in premises):
+                if all(check_atom(candidate, a).verdict for a in premises):
                     return candidate
     return None

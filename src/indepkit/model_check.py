@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -65,9 +64,6 @@ class CheckReport:
             "stats": dict(self.stats),
             "witness": relation_to_csv(self.witness) if self.witness else None,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
 
 def _split_indices(
@@ -202,15 +198,6 @@ def cia_oracle_report(
     """Conjunction of the plain check over all groundings; on refutation the
     witness is the first failing grounding."""
     return _oracle(r, x, y, bound, want=False)
-
-
-def check_cia_oracle(
-    r: Relation,
-    x: Iterable[str],
-    y: Iterable[str],
-    bound: int = DEFAULT_ORACLE_BOUND,
-) -> bool:
-    return cia_oracle_report(r, x, y, bound).verdict
 
 
 def check_pia_oracle(

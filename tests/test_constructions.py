@@ -9,10 +9,10 @@ from indepkit import (
     NULL,
     ParseError,
     check_cia_fast,
-    check_cia_oracle,
     check_ia,
     check_pia,
     check_pia_oracle,
+    cia_oracle_report,
     cnf_to_relation,
     constancy_counterexample,
     exchange_failure_groundings,
@@ -132,14 +132,14 @@ class TestParityRelation:
     def test_violates_certain_and_satisfies_possible(self):
         r = parity_relation(("A",), ("B",), ("C",))
         assert not check_cia_fast(r, {"A"}, {"B"})
-        assert not check_cia_oracle(r, {"A"}, {"B"})
+        assert not cia_oracle_report(r, {"A"}, {"B"}).verdict
         for lhs, rhs in [({"A"}, {"B"}), ({"B"}, {"A"})]:
             assert check_pia_oracle(r, lhs, rhs).verdict
 
     def test_two_one_case_oracle(self):
         r = parity_relation(("A1", "A2"), ("B",), ("C",), pivot="A1")
         x, y = {"A1", "A2"}, {"B"}
-        assert not check_cia_oracle(r, x, y)
+        assert not cia_oracle_report(r, x, y).verdict
         # all disjoint possible atoms over the two sides with both sides
         # non-empty hold
         for lhs, rhs in [

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+import math
 import random
 
 import pytest
@@ -8,6 +10,8 @@ from indepkit import (
     Atom,
     CERTAIN,
     FragmentError,
+    NULL,
+    PLAIN,
     POSSIBLE,
     SYSTEM_DISJOINT_MIXED,
     SYSTEM_I_C,
@@ -28,6 +32,7 @@ from indepkit import (
     parse_atom,
     search_counterexample,
 )
+from indepkit import implication
 from helpers import random_atom_set
 
 
@@ -244,6 +249,55 @@ class TestSearchCounterexample:
         sigma = [make_atom({"A", "B", "C"}, {"D", "E", "F"}, CERTAIN)]
         with pytest.raises(SearchBoundsError):
             search_counterexample(sigma, parse_atom("A _||_c D"), SearchBounds(max_attributes=4))
+
+
+class TestIsomorphPruning:
+    @pytest.mark.parametrize("width, domain_size", [(1, 2), (3, 2), (5, 2), (2, 3)])
+    def test_relabellings_permute_cells(self, width, domain_size):
+        domain = tuple(str(i) for i in range(domain_size))
+        cells = list(itertools.product(domain + (NULL,), repeat=width))
+        null_counts = [sum(v == NULL for v in cell) for cell in cells]
+        perms = implication._relabellings(cells, domain)
+        assert len(perms) == math.factorial(domain_size) ** width - 1
+        assert len(set(perms)) == len(perms)
+        for p in perms:
+            assert sorted(p) == list(range(len(cells)))
+            assert [null_counts[j] for j in p] == null_counts
+            assert p[-1] == len(cells) - 1  # the all-null cell
+
+    def test_no_pruning_above_64_relabellings(self):
+        domain = ("0", "1", "2")
+        cells = list(itertools.product(domain + (NULL,), repeat=3))
+        assert implication._relabellings(cells, domain) == []
+
+    def test_pruning_keeps_the_first_witness(self, monkeypatch):
+        rng = random.Random(20261018)
+
+        def draw(universe, modalities):
+            lhs = rhs = frozenset()
+            while not lhs or not rhs:
+                lhs = frozenset(a for a in universe if rng.random() < 0.45)
+                rhs = frozenset(a for a in universe if rng.random() < 0.45)
+            return Atom(lhs, rhs, rng.choice(modalities))
+
+        cases = []
+        for i in range(200):
+            width, domain_size = ((3, 2), (2, 3))[i % 2]
+            universe = "ABC"[:width]
+            mods = rng.choice(((PLAIN,), (POSSIBLE,), (CERTAIN,), (POSSIBLE, CERTAIN)))
+            premises = [draw(universe, mods) for _ in range(rng.randint(1, 3))]
+            cases.append((premises, draw(universe, mods), SearchBounds(width, 3, domain_size)))
+        pruned = [search_counterexample(*case) for case in cases]
+        monkeypatch.setattr(implication, "_relabellings", lambda cells, domain: [])
+        for case, witness in zip(cases, pruned):
+            assert search_counterexample(*case) == witness
+            if witness is None:
+                continue
+            premises, goal, _ = case
+            for premise in premises:
+                assert check_atom(witness, premise, method="oracle").verdict
+            assert not check_atom(witness, goal, method="oracle").verdict
+        assert sum(w is not None for w in pruned) >= 50
 
 
 REGRESSION_CORPUS = [

@@ -12,7 +12,6 @@ from indepkit import (
     Relation,
     Schema,
     check_cia_fast,
-    check_cia_oracle,
     check_ia,
     check_pia,
     check_pia_oracle,
@@ -109,9 +108,9 @@ class TestCheckIa:
 
 class TestOracles:
     def test_running_example_certain(self, table1):
-        assert check_cia_oracle(table1, {"s"}, {"g"})
-        assert not check_cia_oracle(table1, {"e"}, {"s"})
-        assert not check_cia_oracle(table1, {"r"}, {"r"})
+        assert cia_oracle_report(table1, {"s"}, {"g"}).verdict
+        assert not cia_oracle_report(table1, {"e"}, {"s"}).verdict
+        assert not cia_oracle_report(table1, {"r"}, {"r"}).verdict
 
     def test_running_example_possible(self, table1):
         report = check_pia_oracle(table1, {"e"}, {"s"})
@@ -122,12 +121,12 @@ class TestOracles:
     def test_complete_relation_oracles_match_direct(self, world1):
         for x, y in [({"e"}, {"s"}), ({"a"}, {"g"}), ({"e", "s"}, {"g"})]:
             direct = check_ia(world1, x, y)
-            assert check_cia_oracle(world1, x, y) == direct
+            assert cia_oracle_report(world1, x, y).verdict == direct
             assert check_pia_oracle(world1, x, y).verdict == direct
 
     def test_bound_exceeded_is_an_error(self, table1):
         with pytest.raises(OracleInfeasibleError):
-            check_cia_oracle(table1, {"e"}, {"s"}, bound=10)
+            cia_oracle_report(table1, {"e"}, {"s"}, bound=10)
         with pytest.raises(OracleInfeasibleError):
             check_pia_oracle(table1, {"e"}, {"s"}, bound=10)
 
@@ -139,7 +138,7 @@ class TestOracles:
             r = random_relation(rng, grounding_cap=2**8)
             x, y = random_sides(rng, r.schema)
             all_groundings = list(r.groundings())
-            assert check_cia_oracle(r, x, y) == all(
+            assert cia_oracle_report(r, x, y).verdict == all(
                 check_ia(g, x, y) for g in all_groundings
             )
             assert check_pia_oracle(r, x, y).verdict == any(
@@ -186,7 +185,7 @@ class TestCertainlyConstant:
             attrs = frozenset(
                 a for a in r.schema.attributes if rng.random() < 0.5
             )
-            assert is_certainly_constant(r, attrs) == check_cia_oracle(r, attrs, attrs)
+            assert is_certainly_constant(r, attrs) == cia_oracle_report(r, attrs, attrs).verdict
 
 
 class TestCiaFast:
@@ -197,12 +196,12 @@ class TestCiaFast:
     def test_exchange_failure_certain_refuted(self):
         r = exchange_failure_relation()
         assert not check_cia_fast(r, {"A"}, {"B", "C"})
-        assert not check_cia_oracle(r, {"A"}, {"B", "C"})
+        assert not cia_oracle_report(r, {"A"}, {"B", "C"}).verdict
 
     def test_constant_column_wins(self):
         r = rel("AB", [("0", "1")] * 2, [("0", NULL), ("0", "0")])
         assert check_cia_fast(r, {"A"}, {"B"})
-        assert check_cia_oracle(r, {"A"}, {"B"})
+        assert cia_oracle_report(r, {"A"}, {"B"}).verdict
 
     def test_single_row_satisfies_everything(self):
         r = rel("AB", [("0", "1")] * 2, [(NULL, NULL)])
@@ -210,6 +209,13 @@ class TestCiaFast:
         assert check_cia_fast(r, {"A"}, {"B"})
         # the unique grounding of each shape is a one-row complete relation
         assert all(check_ia(g, {"A"}, {"A"}) for g in r.groundings())
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP defect 1")
+    def test_agrees_with_oracle_when_the_domains_leave_no_spare_value(self):
+        rows = [("0", "0"), ("0", "1"), ("1", "0"), ("1", "1"), ("0", NULL)]
+        r = rel("AB", [("0", "1")] * 2, rows)
+        atom = parse_atom("A _||_c B", r.schema)
+        assert check_atom(r, atom).verdict == check_atom(r, atom, method="oracle").verdict
 
 
 class TestCountingBound:
