@@ -12,7 +12,6 @@ from .atoms import (
     ind_set,
     is_disjoint,
     is_pia_star,
-    make_atom,
     parse_atom,
     parse_constraints,
     render_atom,
@@ -29,7 +28,6 @@ from .constructions import (
 )
 from .errors import (
     FragmentError,
-    GroundingLimitExceeded,
     IndepkitError,
     OracleInfeasibleError,
     ParseError,
@@ -40,7 +38,6 @@ from .errors import (
 from .implication import (
     ImplicationReport,
     SearchBounds,
-    constants_of,
     implies,
     implies_cia,
     implies_ia,
@@ -58,7 +55,6 @@ from .model_check import (
     check_pia_oracle,
     check_pia_unary,
     cia_oracle_report,
-    is_certainly_constant,
     pia_counting_bound,
 )
 from .relation import (
@@ -73,7 +69,6 @@ from .relation import (
     relation_to_csv,
 )
 from .rules import (
-    DEFAULT_ATTRIBUTE_LIMIT,
     Derivation,
     DerivationStep,
     RuleSystem,

@@ -60,10 +60,6 @@ class Atom:
         return f"Atom({render_atom(self)!r})"
 
 
-def make_atom(lhs: Iterable[str], rhs: Iterable[str], modality: Modality = PLAIN) -> Atom:
-    return Atom(frozenset(lhs), frozenset(rhs), modality)
-
-
 def ind(atom: Atom) -> Atom:
     """Strip the modality: the underlying plain independence atom."""
     if atom.modality == PLAIN:
@@ -115,6 +111,9 @@ def _parse_side(text: str, offset: int, schema: Schema | None) -> frozenset[str]
     stripped = text.strip()
     if not stripped:
         raise ParseError("empty attribute list (write {} for the empty set)", offset)
+    found = [p for p in (text.find("_||_"), text.find("⊥")) if p >= 0]
+    if found:
+        raise ParseError("a side may not contain an independence operator", offset + min(found))
     if stripped == "{}":
         return frozenset()
     if "{" in stripped or "}" in stripped:
@@ -192,7 +191,6 @@ __all__ = [
     "PLAIN",
     "POSSIBLE",
     "CERTAIN",
-    "make_atom",
     "ind",
     "ind_set",
     "is_disjoint",

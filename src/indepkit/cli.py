@@ -31,7 +31,6 @@ from .implication import SearchBounds, implies, search_counterexample
 from .model_check import DEFAULT_ORACLE_BOUND, check_atom
 from .relation import domains_to_json, read_relation, relation_to_csv
 from .rules import (
-    DEFAULT_ATTRIBUTE_LIMIT,
     SYSTEM_FULL,
     SYSTEM_I,
     SYSTEM_I_C,
@@ -96,7 +95,7 @@ def _cmd_implies(args: argparse.Namespace) -> int:
     with open(args.constraints, encoding="utf-8") as fh:
         premises = parse_constraints(fh.read())
     goal = parse_atom(args.atom)
-    report = implies(premises, goal, args.sound_only, args.limit)
+    report = implies(premises, goal, args.sound_only)
     word = "implied" if report.completeness == "complete" else "derivable"
     shown = render_atom(goal, unicode_ops=_unicode_ok())
     lines = [
@@ -146,7 +145,7 @@ def _cmd_closure(args: argparse.Namespace) -> int:
     universe = None
     if args.universe:
         universe = [a.strip() for a in args.universe.split(",") if a.strip()]
-    atoms = closure(premises, system, universe, args.limit)
+    atoms = closure(premises, system, universe)
     rendered = sorted(render_atom(a) for a in atoms)
     lines = [f"{len(rendered)} atoms in the {system.name} closure"]
     unicode_ops = _unicode_ok()
@@ -163,7 +162,7 @@ def _cmd_derive(args: argparse.Namespace) -> int:
         premises = parse_constraints(fh.read())
     goal = parse_atom(args.atom)
     system = _pick_system(args, premises, goal)
-    derivation = derives(premises, goal, system, args.limit)
+    derivation = derives(premises, goal, system)
     if derivation is None:
         _emit(
             args.json,
@@ -294,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="allow derivability answers outside the complete fragments",
     )
-    _setting(p_implies, "--limit", DEFAULT_ATTRIBUTE_LIMIT, "saturation attribute limit")
     search = p_implies.add_argument_group("counterexample search bounds")
     _setting(search, "--max-attributes", SearchBounds.max_attributes, "most attributes")
     _setting(search, "--max-rows", SearchBounds.max_rows, "most rows")
@@ -305,14 +303,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_closure.add_argument("constraints")
     p_closure.add_argument("--system", help="I, I_c, I_p, J_pc, full, or disjoint-mixed")
     p_closure.add_argument("--universe", help="comma-separated attribute universe")
-    _setting(p_closure, "--limit", DEFAULT_ATTRIBUTE_LIMIT, "saturation attribute limit")
     p_closure.set_defaults(func=_cmd_closure)
 
     p_derive = sub.add_parser("derive", help="print a derivation of an atom")
     p_derive.add_argument("constraints")
     p_derive.add_argument("atom")
     p_derive.add_argument("--system", help="I, I_c, I_p, J_pc, full, or disjoint-mixed")
-    _setting(p_derive, "--limit", DEFAULT_ATTRIBUTE_LIMIT, "saturation attribute limit")
     p_derive.set_defaults(func=_cmd_derive)
 
     p_witness = sub.add_parser("witness", help="emit a bundled construction as CSV")

@@ -21,10 +21,6 @@ class ParseError(IndepkitError):
         self.position = position
 
 
-class GroundingLimitExceeded(IndepkitError):
-    """A grounding stream hit its limit with groundings still remaining."""
-
-
 class OracleInfeasibleError(IndepkitError):
     """The grounding oracle would exceed its configured bound."""
 

@@ -40,7 +40,6 @@ from .errors import FragmentError, SearchBoundsError
 from .model_check import check_atom
 from .relation import NULL, Relation, Schema
 from .rules import (
-    DEFAULT_ATTRIBUTE_LIMIT,
     SYSTEM_DISJOINT_MIXED,
     SYSTEM_FULL,
     SYSTEM_I,
@@ -58,27 +57,23 @@ def constants_of(atoms: Iterable[Atom]) -> frozenset[str]:
     return frozenset(out)
 
 
-def implies_ia(
-    sigma: Iterable[Atom], goal: Atom, limit: int = DEFAULT_ATTRIBUTE_LIMIT
-) -> bool:
+def implies_ia(sigma: Iterable[Atom], goal: Atom) -> bool:
     """Implication among plain atoms (complete relations); the rule system is
     sound and complete here, so closure membership is the answer."""
     premises = list(sigma)
     check_same_modality(premises, PLAIN, "implies_ia")
     check_same_modality([goal], PLAIN, "implies_ia")
     universe = attributes_of(premises) | goal.attributes
-    return goal in closure(premises, SYSTEM_I, universe, limit)
+    return goal in closure(premises, SYSTEM_I, universe)
 
 
-def implies_cia(
-    sigma: Iterable[Atom], goal: Atom, limit: int = DEFAULT_ATTRIBUTE_LIMIT
-) -> bool:
+def implies_cia(sigma: Iterable[Atom], goal: Atom) -> bool:
     """Implication among certain atoms: equivalent to the plain problem on
     the modality-stripped atoms."""
     premises = list(sigma)
     check_same_modality(premises, CERTAIN, "implies_cia")
     check_same_modality([goal], CERTAIN, "implies_cia")
-    return implies_ia(ind_set(premises), ind(goal), limit)
+    return implies_ia(ind_set(premises), ind(goal))
 
 
 def implies_pia_star(sigma: Iterable[Atom], goal: Atom) -> bool:
@@ -104,9 +99,7 @@ def implies_pia_star(sigma: Iterable[Atom], goal: Atom) -> bool:
     return False
 
 
-def implies_mixed_disjoint(
-    sigma: Iterable[Atom], goal: Atom, limit: int = DEFAULT_ATTRIBUTE_LIMIT
-) -> bool:
+def implies_mixed_disjoint(sigma: Iterable[Atom], goal: Atom) -> bool:
     """Implication for disjoint possible and certain atoms.
 
     A certain goal depends only on the certain premises and reduces to the
@@ -125,8 +118,8 @@ def implies_mixed_disjoint(
             )
     if goal.modality == CERTAIN:
         certain = [a for a in premises if a.modality == CERTAIN]
-        return implies_ia(ind_set(certain), ind(goal), limit)
-    return derives(premises, goal, SYSTEM_DISJOINT_MIXED, limit) is not None
+        return implies_ia(ind_set(certain), ind(goal))
+    return derives(premises, goal, SYSTEM_DISJOINT_MIXED) is not None
 
 
 @dataclass(frozen=True)
@@ -139,29 +132,24 @@ class ImplicationReport:
     route: str
 
 
-def implies(
-    sigma: Iterable[Atom],
-    goal: Atom,
-    sound_only: bool = False,
-    limit: int = DEFAULT_ATTRIBUTE_LIMIT,
-) -> ImplicationReport:
+def implies(sigma: Iterable[Atom], goal: Atom, sound_only: bool = False) -> ImplicationReport:
     """Decide the query with the decider of its fragment.  Outside the
     complete fragments a derivability answer is given when ``sound_only`` is
     set; otherwise ``FragmentError`` is raised."""
     premises = list(sigma)
     modalities = {a.modality for a in premises} | {goal.modality}
     if modalities == {PLAIN}:
-        return ImplicationReport(implies_ia(premises, goal, limit), "complete", "closure-I")
+        return ImplicationReport(implies_ia(premises, goal), "complete", "closure-I")
     if PLAIN in modalities:
         raise FragmentError("plain atoms cannot be mixed with modal atoms")
     if modalities == {CERTAIN}:
-        verdict = implies_cia(premises, goal, limit)
+        verdict = implies_cia(premises, goal)
         return ImplicationReport(verdict, "complete", "certain-as-plain")
     if modalities == {POSSIBLE} and is_pia_star(goal):
         return ImplicationReport(implies_pia_star(premises, goal), "complete", "pia-star")
     disjoint = all(is_disjoint(a) for a in [*premises, goal])
     if disjoint and goal.modality == CERTAIN:
-        verdict = implies_mixed_disjoint(premises, goal, limit)
+        verdict = implies_mixed_disjoint(premises, goal)
         return ImplicationReport(verdict, "complete", "certain-core")
     if not sound_only:
         raise FragmentError(
@@ -169,12 +157,12 @@ def implies(
             "fragments; set sound_only (CLI: --sound-only) for a derivability answer"
         )
     if modalities == {POSSIBLE}:
-        verdict = derives(premises, goal, SYSTEM_I_P, limit) is not None
+        verdict = derives(premises, goal, SYSTEM_I_P) is not None
         return ImplicationReport(verdict, "sound-only", "derivability-I_p")
     if disjoint:
-        verdict = implies_mixed_disjoint(premises, goal, limit)
+        verdict = implies_mixed_disjoint(premises, goal)
         return ImplicationReport(verdict, "sound-only", "derivability-disjoint-mixed")
-    verdict = derives(premises, goal, SYSTEM_FULL, limit) is not None
+    verdict = derives(premises, goal, SYSTEM_FULL) is not None
     return ImplicationReport(verdict, "sound-only", "derivability-full")
 
 

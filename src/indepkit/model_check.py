@@ -330,8 +330,7 @@ def _column_candidates(r: Relation, j: int) -> tuple[str, ...]:
 
 class _Side:
     """One side of the support search: its support values, the rows each
-    value matches, for each row the indices of the values it matches, and
-    ``digest``, the XOR of the values' hashes.
+    value matches, and for each row the indices of the values it matches.
 
     Rows are grouped by their pattern on the side's columns.  A value matches
     the patterns got by blanking it at each null-mask that occurs, so pushing
@@ -353,7 +352,6 @@ class _Side:
         self.values: list[tuple[str, ...]] = []
         self.rows_of: list[set[int]] = []
         self.opts: list[list[int]] = [[] for _ in self.patterns]
-        self.digest = 0
 
     def push(self, value: tuple[str, ...]) -> set[int]:
         """Add a support value; returns the rows it matches, whose option
@@ -364,12 +362,11 @@ class _Side:
             rows.update(self.groups.get(key, ()))
         self.values.append(value)
         self.rows_of.append(rows)
-        self.digest ^= hash(value)
         return rows
 
     def pop(self) -> set[int]:
         """Remove the newest support value; returns the rows it matched."""
-        self.digest ^= hash(self.values.pop())
+        self.values.pop()
         return self.rows_of.pop()
 
     def extensions(self, i: int):
@@ -394,12 +391,10 @@ class _PiaSearch:
     of its values match and placed by one augmenting path.  Leaving a state
     undoes it without a journal: popping its pairs frees their copies and
     leaves every other pair on a copy it may take, and popping its value
-    reverses the option lists.  Visited states are filed by the digests of
-    the two sides; a state is compared with the states filed under the same
-    digests by expanding their paths of pushed values, so no node copies the
-    support sets, and a digest clash costs a comparison, never a wrong
-    prune.  ``result`` holds the witness rows, grounded on the two sides
-    only."""
+    reverses the option lists.  A state reached twice is explored twice:
+    its subtree depends only on its support sets, so the second visit fails
+    as the first did.  ``result`` holds the witness rows, grounded on the
+    two sides only."""
 
     def __init__(self, r: Relation, x_cols: tuple[int, ...], y_cols: tuple[int, ...]):
         self.rows = r.rows
@@ -415,12 +410,10 @@ class _PiaSearch:
         self.open = sorted((score, i, 0) for i, score in enumerate(self.x.scores))
         self.nodes = 0
         self.augmentations = 0
-        self.visited: dict[tuple[int, int], list] = {}
         self.result: list[list[str]] | None = None
         for s, side in enumerate(self.sides):
             for value in dict.fromkeys(p for p in side.patterns if NULL not in p):
                 self._push(s, value)
-        self.initial = (len(self.x.values), len(self.y.values))
 
     def _key(self, i: int):
         """Row i's entry in ``open``, or None once both sides match it."""
@@ -462,13 +455,12 @@ class _PiaSearch:
 
     def run(self) -> bool:
         """Depth-first over support states from an explicit stack: each entry
-        is the number of pairs its state placed, either None (pruned) or the
-        side it branches on with its iterator of extensions, and its path.  A
-        path is None for the initial state, else (parent path, side, value).
-        Leaving a state pops its pairs and the support value that led to it."""
+        is the number of pairs its state placed and either None (pruned) or
+        the side it branches on with its iterator of extensions.  Leaving a
+        state pops its pairs and the support value that led to it."""
         stack = [self._visit(None)]
         while stack and self.result is None:
-            placed, branch, path = stack[-1]
+            placed, branch = stack[-1]
             ext = next(branch[1], None) if branch else None
             if ext is None:
                 stack.pop()
@@ -479,40 +471,19 @@ class _PiaSearch:
                     self._pop(stack[-1][1][0])
                 continue
             self._push(branch[0], ext)
-            stack.append(self._visit((path, branch[0], ext)))
+            stack.append(self._visit(branch[0]))
         return self.result is not None
 
-    def _sets(self, path) -> tuple[set, set]:
-        """The support sets of the state a path leads to."""
-        sets = tuple(set(side.values[:n]) for side, n in zip(self.sides, self.initial))
-        while path:
-            path, s, value = path
-            sets[s].add(value)
-        return sets
-
-    def _seen(self, path) -> bool:
-        """Was the current state visited before?  If not, file it."""
-        filed = self.visited.setdefault((self.x.digest, self.y.digest), [])
-        if filed:
-            current = (set(self.x.values), set(self.y.values))
-            if any(self._sets(other) == current for other in filed):
-                return True
-        filed.append(path)
-        return False
-
-    def _visit(self, path):
-        """Count the current state, which ``path`` leads to, and place its
-        new pairs.  Returns how many pairs were placed, either None (pruned,
-        or a witness stored in ``result``) or the side to branch on and its
-        extensions, and the path."""
+    def _visit(self, s: int | None):
+        """Count the current state, reached by a value pushed on side ``s``
+        (None for the initial state), and place its new pairs.  Returns how
+        many pairs were placed and either None (pruned, or a witness stored
+        in ``result``) or the side to branch on and its extensions."""
         self.nodes += 1
-        if self._seen(path):
-            return 0, None, path
         x, y = self.x, self.y
         nu, nw = len(x.values), len(y.values)
         if nu * nw > self.total:
-            return 0, None, path
-        s = path[1] if path else None
+            return 0, None
         if s is None:
             new = itertools.product(range(nu), range(nw))
         elif s == 0:
@@ -523,14 +494,14 @@ class _PiaSearch:
         for ku, kw in new:
             self.augmentations += 1
             if not self.assignment.add(x.rows_of[ku] & y.rows_of[kw]):
-                return placed, None, path
+                return placed, None
             self.pairs.append((ku, kw))
             placed += 1
         if not self.open:
             self.result = self._build_witness()
-            return placed, None, path
+            return placed, None
         _, i, b = self.open[0]
-        return placed, (b, self.sides[b].extensions(i)), path
+        return placed, (b, self.sides[b].extensions(i))
 
     def _build_witness(self) -> list[list[str]]:
         """Ground each copy of row i to a pair it hosts, or to the first pair

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import GroundingLimitExceeded, ParseError, SchemaError
+from .errors import ParseError, SchemaError
 
 
 class NullMarker:
@@ -116,13 +116,6 @@ class Schema:
         wanted = {self.index(a) for a in attributes}
         return tuple(i for i in range(len(self.attributes)) if i in wanted)
 
-    def restrict(self, attributes: Iterable[str]) -> Schema:
-        idx = self.indices(attributes)
-        return Schema(
-            tuple(self.attributes[i] for i in idx),
-            tuple(self.domains[i] for i in idx),
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class Relation:
@@ -197,13 +190,6 @@ class Relation:
         """Number of distinct rows."""
         return len(self.rows)
 
-    def multiplicity(self, row: Sequence[Cell]) -> int:
-        key = tuple(row)
-        for r, c in zip(self.rows, self.counts):
-            if r == key:
-                return c
-        return 0
-
     def distinct_nonnull(self, attribute: str) -> tuple[str, ...]:
         """Distinct non-null column values, in first-occurrence order."""
         i = self.schema.index(attribute)
@@ -265,8 +251,8 @@ class Relation:
         self, column_indices: Sequence[int] | None = None
     ) -> Iterator[list[tuple[Cell, ...]]]:
         """Yield grounded copies (one list of rows per assignment of the null
-        cells in the selected columns).  Internal fast path: rows are plain
-        tuples and may repeat."""
+        cells in the selected columns).  Rows are plain tuples and may
+        repeat."""
         copies, cells = self._null_cells(column_indices)
         if not cells:
             yield [tuple(r) for r in copies]
@@ -276,20 +262,6 @@ class Relation:
             for (k, j), value in zip(cells, assignment):
                 copies[k][j] = value
             yield [tuple(r) for r in copies]
-
-    def groundings(self, limit: int | None = None) -> Iterator[Relation]:
-        """Enumerate groundings as relations, in a fixed lexicographic order.
-
-        With ``limit`` set, at most ``limit`` groundings are yielded; if more
-        remain, ``GroundingLimitExceeded`` is raised after the last yield so
-        that truncation is distinguishable from exhaustion.
-        """
-        for n, rows in enumerate(self.grounding_assignments()):
-            if limit is not None and n >= limit:
-                raise GroundingLimitExceeded(
-                    f"more than {limit} groundings exist"
-                )
-            yield Relation.from_rows(self.schema, rows, validate=False)
 
 
 # -- CSV and JSON interchange ---------------------------------------------

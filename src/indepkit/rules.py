@@ -25,9 +25,10 @@ from .atoms import (
     render_atom,
 )
 from .errors import SaturationLimitError
-from .relation import Schema
 
-DEFAULT_ATTRIBUTE_LIMIT = 12
+# The closure grows as 3^n in the number of attributes, so saturation
+# refuses larger universes.
+ATTRIBUTE_LIMIT = 12
 
 # rule id -> (kind, premise modalities, conclusion modality)
 _RULE_INFO: dict[str, tuple[str, tuple[Modality, ...], Modality]] = {
@@ -64,11 +65,6 @@ class RuleSystem:
 
     def __contains__(self, rule: str) -> bool:
         return rule in self.rules
-
-    def without(self, *rule_ids: str) -> RuleSystem:
-        return RuleSystem(
-            f"{self.name}\\{{{','.join(rule_ids)}}}", self.rules - set(rule_ids)
-        )
 
 
 SYSTEM_I = RuleSystem("I", frozenset({"T", "S", "C", "D", "E"}))
@@ -185,10 +181,10 @@ class _Saturator:
         return goal is not None and goal in self.known
 
 
-def _check_universe(universe: frozenset[str], limit: int) -> None:
-    if len(universe) > limit:
+def _check_universe(universe: frozenset[str]) -> None:
+    if len(universe) > ATTRIBUTE_LIMIT:
         raise SaturationLimitError(
-            f"{len(universe)} attributes exceed the saturation limit of {limit}"
+            f"{len(universe)} attributes exceed the saturation limit of {ATTRIBUTE_LIMIT}"
         )
 
 
@@ -208,32 +204,26 @@ def closure(
     atoms: Iterable[Atom],
     system: RuleSystem,
     universe: Iterable[str] | None = None,
-    limit: int = DEFAULT_ATTRIBUTE_LIMIT,
 ) -> frozenset[Atom]:
     """Least fixpoint of the rule system over the given premises, restricted
     to atoms over the universe (premise attributes by default)."""
     premises = list(atoms)
     uni = frozenset(universe) if universe is not None else attributes_of(premises)
     uni |= attributes_of(premises)
-    _check_universe(uni, limit)
+    _check_universe(uni)
     sat = _Saturator(system)
     _seed(sat, premises, uni)
     sat.run()
     return frozenset(sat.known)
 
 
-def derives(
-    atoms: Iterable[Atom],
-    goal: Atom,
-    system: RuleSystem,
-    limit: int = DEFAULT_ATTRIBUTE_LIMIT,
-) -> Derivation | None:
+def derives(atoms: Iterable[Atom], goal: Atom, system: RuleSystem) -> Derivation | None:
     """A checked derivation of the goal, or None when the system cannot
     derive it.  Non-derivability equals non-implication only on fragments
     with a proven complete axiomatisation."""
     premises = list(atoms)
     uni = attributes_of(premises) | goal.attributes
-    _check_universe(uni, limit)
+    _check_universe(uni)
     sat = _Saturator(system)
     _seed(sat, premises, uni)
     if not sat.run(goal):
@@ -306,16 +296,14 @@ def validate_derivation(
             )
 
 
-def render_derivation_text(
-    derivation: Derivation, schema: Schema | None = None, unicode_ops: bool = False
-) -> str:
+def render_derivation_text(derivation: Derivation, unicode_ops: bool = False) -> str:
     """Indented proof tree, conclusion first."""
     lines: list[str] = []
 
     def visit(index: int, depth: int) -> None:
         step = derivation.steps[index]
         label = step.rule if step.rule is not None else "premise"
-        atom = render_atom(step.atom, schema, unicode_ops)
+        atom = render_atom(step.atom, unicode_ops=unicode_ops)
         lines.append(f"{'  ' * depth}{atom}   [{label}]")
         for i in step.premises:
             visit(i, depth + 1)
@@ -324,12 +312,10 @@ def render_derivation_text(
     return "\n".join(lines)
 
 
-def derivation_to_json_list(
-    derivation: Derivation, schema: Schema | None = None
-) -> list[dict]:
+def derivation_to_json_list(derivation: Derivation) -> list[dict]:
     return [
         {
-            "atom": render_atom(step.atom, schema),
+            "atom": render_atom(step.atom),
             "rule": step.rule,
             "premises": list(step.premises),
         }

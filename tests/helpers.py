@@ -5,16 +5,31 @@ from __future__ import annotations
 import itertools
 import random
 import string
+from typing import Iterable
 
 from indepkit import (
     Atom,
     CnfFormula,
     NULL,
+    PLAIN,
     Relation,
     Schema,
 )
 
 ATTR_NAMES = tuple(string.ascii_uppercase)
+
+
+def make_atom(lhs: Iterable[str], rhs: Iterable[str], modality: str = PLAIN) -> Atom:
+    return Atom(frozenset(lhs), frozenset(rhs), modality)
+
+
+def groundings(r: Relation) -> list[Relation]:
+    """Every grounding of the relation, in the order of
+    ``Relation.grounding_assignments``."""
+    return [
+        Relation.from_rows(r.schema, rows, validate=False)
+        for rows in r.grounding_assignments()
+    ]
 
 
 def random_relation(

@@ -16,11 +16,11 @@ from indepkit import (
     ind_set,
     is_disjoint,
     is_pia_star,
-    make_atom,
     parse_atom,
     parse_constraints,
     render_atom,
 )
+from helpers import make_atom
 
 
 def schema_esg() -> Schema:
@@ -62,6 +62,22 @@ class TestParse:
     def test_gibberish_side(self):
         with pytest.raises(ParseError):
             parse_atom("e,, _||_ s", schema_esg())
+
+    @pytest.mark.parametrize(
+        "text,column",
+        [("A _||_c B _||_c C", 11), ("A ⊥ B ⊥c C", 7), ("A _||_ B,C _||_p D", 12)],
+    )
+    def test_second_operator_is_an_error(self, text, column):
+        with pytest.raises(ParseError) as err:
+            parse_atom(text)
+        assert err.value.position == column - 1
+        assert f"at column {column}" in str(err.value)
+
+    def test_second_operator_in_a_constraint_file(self):
+        with pytest.raises(ParseError) as err:
+            parse_constraints("A _||_c B _||_c C\n")
+        assert str(err.value).startswith("line 1:")
+        assert "at column 11" in str(err.value)
 
     def test_without_schema_any_identifier(self):
         atom = parse_atom("foo,bar _||_p baz")

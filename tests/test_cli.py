@@ -124,6 +124,13 @@ class TestImplies:
         assert code == 2
         assert "sound-only" in err
 
+    def test_second_operator_in_a_premise_exits_2(self, capsys, tmp_path):
+        sigma = tmp_path / "sigma.txt"
+        sigma.write_text("A _||_c B _||_c C\n")
+        code, out, err = run(capsys, "implies", str(sigma), "A _||_c B")
+        assert code == 2 and out == ""
+        assert "line 1" in err and "Traceback" not in err
+
     def test_premise_implied(self, capsys):
         code, out, _ = run(
             capsys, "implies", str(DATA / "sigma_certain.txt"), "e _||_c s"
@@ -144,6 +151,13 @@ class TestClosureAndDerive:
         data = json.loads(out)
         assert data["system"] == "I_c"
         assert "e _||_c g,s" in data["atoms"]
+
+    def test_closure_above_the_saturation_limit_exits_2(self, capsys, tmp_path):
+        sigma = tmp_path / "sigma.txt"
+        sigma.write_text(",".join(f"A{i}" for i in range(13)) + " _||_c {}\n")
+        code, out, err = run(capsys, "closure", str(sigma))
+        assert code == 2 and out == ""
+        assert "saturation limit of 12" in err and "Traceback" not in err
 
     def test_derive_prints_tree(self, capsys):
         code, out, _ = run(
@@ -261,6 +275,9 @@ class TestConfig:
             ["closure", str(DATA / "sigma_certain.txt"), "--config", "c.json"],
             ["check", TABLE1, "e _||_p s", "--output", "json"],
             ["check", TABLE1, "e _||_p s", "--method", "fast"],
+            ["closure", str(DATA / "sigma_certain.txt"), "--limit", "-1"],
+            ["implies", str(DATA / "sigma_certain.txt"), "e _||_c s", "--limit", "12"],
+            ["derive", str(DATA / "sigma_certain.txt"), "e _||_c s", "--limit", "12"],
         ],
     )
     def test_flag_not_read_by_the_command_is_an_error(self, capsys, argv):
@@ -275,7 +292,7 @@ class TestConfig:
         [
             ["implies", str(DATA / "sigma_certain.txt"), "e _||_c s", "--max-rows", "0"],
             ["check", TABLE1, "e _||_c s", "--oracle-bound", "0"],
-            ["closure", str(DATA / "sigma_certain.txt"), "--limit", "-1"],
+            ["implies", str(DATA / "sigma_certain.txt"), "e _||_c s", "--domain-size", "0"],
             ["implies", str(DATA / "sigma_certain.txt"), "e _||_c s", "--max-attributes", "x"],
         ],
     )

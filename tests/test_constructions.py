@@ -17,13 +17,12 @@ from indepkit import (
     constancy_counterexample,
     exchange_failure_groundings,
     exchange_failure_relation,
-    make_atom,
     parity_relation,
     pia_counting_bound,
     pia_separating_family,
     sat_via_pia,
 )
-from helpers import brute_force_sat, random_cnf
+from helpers import brute_force_sat, groundings, make_atom, random_cnf
 
 
 class TestExchangeFailure:
@@ -50,8 +49,8 @@ class TestExchangeFailure:
     def test_companion_groundings_exact(self):
         r = exchange_failure_relation()
         first, second = exchange_failure_groundings()
-        groundings = list(r.groundings())
-        assert first in groundings and second in groundings
+        all_groundings = groundings(r)
+        assert first in all_groundings and second in all_groundings
         assert check_ia(first, {"A"}, {"B"})
         assert check_ia(second, {"A", "B"}, {"C"})
 

@@ -20,7 +20,6 @@ from indepkit import (
     SearchBoundsError,
     check_atom,
     closure,
-    constants_of,
     derives,
     implies,
     implies_cia,
@@ -28,12 +27,12 @@ from indepkit import (
     implies_mixed_disjoint,
     implies_pia_star,
     is_pia_star,
-    make_atom,
     parse_atom,
     search_counterexample,
 )
 from indepkit import implication
-from helpers import random_atom_set
+from indepkit.implication import constants_of
+from helpers import make_atom, random_atom_set
 
 
 def atoms(*texts: str) -> list:

@@ -7,6 +7,7 @@ import pytest
 from indepkit import (
     CERTAIN,
     POSSIBLE,
+    RuleSystem,
     SYSTEM_DISJOINT_MIXED,
     SYSTEM_FULL,
     SYSTEM_I,
@@ -17,13 +18,12 @@ from indepkit import (
     closure,
     derivation_to_json_list,
     derives,
-    make_atom,
     parse_atom,
     render_derivation_text,
     system_by_name,
     validate_derivation,
 )
-from helpers import random_atom_set
+from helpers import make_atom, random_atom_set
 
 
 def atoms(*texts: str) -> list:
@@ -94,7 +94,9 @@ class TestDerives:
     def test_three_rule_deduction_in_reduced_system(self):
         sigma = atoms("e _||_c s", "e,s _||_p g", "r _||_p r")
         goal = parse_atom("r,s,g _||_p e")
-        system = system_by_name("full").without("T_c", "T_p", "D_c", "D_p", "E_c", "E_pc", "C_c", "S_c")
+        system = RuleSystem(
+            "reduced", SYSTEM_FULL.rules - {"T_c", "T_p", "D_c", "D_p", "E_c", "E_pc", "C_c", "S_c"}
+        )
         derivation = derives(sigma, goal, system)
         assert derivation is not None
         assert derivation.rules_used() == ("E_cp", "S_p", "C_p")
@@ -146,7 +148,7 @@ class TestValidation:
         sigma = atoms("A _||_ B", "A,B _||_ C")
         derivation = derives(sigma, parse_atom("A _||_ B,C"), SYSTEM_I)
         with pytest.raises(ValueError):
-            validate_derivation(derivation, SYSTEM_I.without("E"), sigma)
+            validate_derivation(derivation, RuleSystem("I-E", SYSTEM_I.rules - {"E"}), sigma)
 
     def test_random_derivations_validate(self):
         rng = random.Random(42)
