@@ -47,7 +47,6 @@ from .implication import (
 )
 from .model_check import (
     CheckReport,
-    DEFAULT_ORACLE_BOUND,
     check_atom,
     check_cia_fast,
     check_ia,

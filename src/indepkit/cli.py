@@ -28,7 +28,7 @@ from .constructions import (
 )
 from .errors import IndepkitError
 from .implication import SearchBounds, implies, search_counterexample
-from .model_check import DEFAULT_ORACLE_BOUND, check_atom
+from .model_check import check_atom
 from .relation import domains_to_json, read_relation, relation_to_csv
 from .rules import (
     SYSTEM_FULL,
@@ -74,7 +74,7 @@ def _setting(parser, flag: str, default: int, what: str) -> None:
 def _cmd_check(args: argparse.Namespace) -> int:
     relation = read_relation(args.relation, args.domains)
     atom = parse_atom(args.atom, relation.schema)
-    report = check_atom(relation, atom, method=args.method, oracle_bound=args.oracle_bound)
+    report = check_atom(relation, atom, method=args.method)
     shown = render_atom(atom, relation.schema, unicode_ops=_unicode_ok())
     verdict = "holds" if report.verdict else "fails"
     lines = [f"{shown}: {verdict}  [method {report.method}]"]
@@ -277,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="exit 0 when the atom holds, 1 when it fails, 2 on errors",
     )
-    _setting(p_check, "--oracle-bound", DEFAULT_ORACLE_BOUND, "oracle grounding bound")
     p_check.set_defaults(func=_cmd_check)
 
     p_implies = sub.add_parser("implies", help="decide implication from a constraint file")

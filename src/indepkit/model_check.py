@@ -33,7 +33,9 @@ from .errors import FragmentError, OracleInfeasibleError
 from .flow import Assignment, FlowNetwork, max_flow_assignment
 from .relation import NULL, Relation, Schema, relation_to_csv
 
-DEFAULT_ORACLE_BOUND = 2**20
+# The grounding oracles refuse relations with more groundings of the atom's
+# columns than this, rather than answer approximately.
+ORACLE_BOUND = 2**20
 
 METHOD_ORACLE = "oracle"
 METHOD_IA_DIRECT = "ia_direct"
@@ -163,18 +165,16 @@ def ground(
     return Relation.from_rows(schema, grounded, counts, validate=False)
 
 
-def _oracle(
-    r: Relation, x: Iterable[str], y: Iterable[str], bound: int, want: bool
-) -> CheckReport:
+def _oracle(r: Relation, x: Iterable[str], y: Iterable[str], want: bool) -> CheckReport:
     """Enumerate the groundings of the X∪Y columns until the plain atom
     evaluates to ``want`` on one; that grounding is the witness and the
     verdict is ``want``, otherwise the verdict is ``not want``."""
     xi, yi, oi = _split_indices(r.schema, x, y)
     cols = xi + yi + oi
     n = r.count_groundings(cols)
-    if n > bound:
+    if n > ORACLE_BOUND:
         raise OracleInfeasibleError(
-            f"relation has {n} groundings, above the oracle bound of {bound}"
+            f"relation has {n} groundings, above the oracle bound of {ORACLE_BOUND}"
         )
     examined = 0
     for rows in r.grounding_assignments(cols):
@@ -189,25 +189,51 @@ def _oracle(
     return CheckReport(not want, METHOD_ORACLE, stats={"groundings": examined})
 
 
-def cia_oracle_report(
-    r: Relation,
-    x: Iterable[str],
-    y: Iterable[str],
-    bound: int = DEFAULT_ORACLE_BOUND,
-) -> CheckReport:
+def cia_oracle_report(r: Relation, x: Iterable[str], y: Iterable[str]) -> CheckReport:
     """Conjunction of the plain check over all groundings; on refutation the
     witness is the first failing grounding."""
-    return _oracle(r, x, y, bound, want=False)
+    return _oracle(r, x, y, want=False)
 
 
-def check_pia_oracle(
-    r: Relation,
-    x: Iterable[str],
-    y: Iterable[str],
-    bound: int = DEFAULT_ORACLE_BOUND,
-) -> CheckReport:
+def check_pia_oracle(r: Relation, x: Iterable[str], y: Iterable[str]) -> CheckReport:
     """Existential grounding check, returning the first witnessing grounding."""
-    return _oracle(r, x, y, bound, want=True)
+    return _oracle(r, x, y, want=True)
+
+
+# -- possible atoms: the constancy rule -------------------------------------
+
+
+def _pins(r: Relation, cols: Iterable[int]) -> dict[int, str] | None:
+    """The value each column must take for the columns to ground to one
+    constant tuple: the one non-null value it shows (an all-null column needs
+    none, as ``ground`` fills it alike), or None at a column's second value."""
+    pins: dict[int, str] = {}
+    for j in cols:
+        for row in r.rows:
+            v = row[j]
+            if v is not NULL and pins.setdefault(j, v) != v:
+                return None
+    return pins
+
+
+def _by_constancy(
+    r: Relation, xi: tuple[int, ...], yi: tuple[int, ...], oi: tuple[int, ...]
+) -> tuple[CheckReport | None, dict[int, str]]:
+    """The constancy rule of a possible atom.  A shared column is constant in
+    any witness, so one that shows two values refutes the atom.  A side whose
+    own columns can ground to one constant tuple has a one-tuple support, so
+    grounding it and the shared columns so makes the atom hold.  Returns the
+    report when the rule decides, and the pins of the shared columns."""
+    rule = {"nodes": 0, "constancy": True}
+    fixed = _pins(r, oi)
+    if fixed is None:
+        return CheckReport(False, METHOD_PIA_SEARCH, stats=rule), {}
+    for side in (xi, yi):
+        pins = _pins(r, side)
+        if pins is not None:
+            witness = ground(r.schema, r.rows, r.counts, {**fixed, **pins})
+            return CheckReport(True, METHOD_PIA_SEARCH, stats=rule, witness=witness), fixed
+    return None, fixed
 
 
 # -- unary possible atoms: pooled assignment --------------------------------
@@ -246,28 +272,15 @@ def build_flow_network(r: Relation, a: str, b: str) -> FlowNetwork:
 
 def check_pia_unary(r: Relation, a: str, b: str) -> CheckReport:
     """Possible independence of two single attributes, decided in polynomial
-    time: the atom holds exactly when every product cell of the non-null
-    column values that no complete tuple covers takes a distinct copy from a
-    null pool able to ground to it."""
+    time: after the constancy rule, the atom holds exactly when every product
+    cell of the non-null column values that no complete tuple covers takes a
+    distinct copy from a null pool able to ground to it."""
+    decided, _ = _by_constancy(r, *_split_indices(r.schema, {a}, {b}))
+    if decided is not None:
+        return decided
     ia, ib = r.schema.index(a), r.schema.index(b)
-    if a == b:
-        vals = r.distinct_nonnull(a)
-        if len(vals) > 1:
-            return CheckReport(False, METHOD_PIA_FLOW, stats={"constancy": True})
-        witness = ground(r.schema, r.rows, r.counts, {ia: vals[0]} if vals else None)
-        return CheckReport(True, METHOD_PIA_FLOW, stats={"constancy": True}, witness=witness)
-    if r.row_count == 0:
-        return CheckReport(True, METHOD_PIA_FLOW, stats={}, witness=r)
     avals = r.distinct_nonnull(a)
     bvals = r.distinct_nonnull(b)
-    if not avals or not bvals:
-        # an all-null column grounds to a constant, which makes the atom hold
-        return CheckReport(
-            True,
-            METHOD_PIA_FLOW,
-            stats={"constant_column": a if not avals else b},
-            witness=ground(r.schema, r.rows, r.counts),
-        )
     network = build_flow_network(r, a, b)
     assignment = max_flow_assignment(network)
     stats = {"target": len(avals) * len(bvals), "missing": len(network.items)}
@@ -524,28 +537,25 @@ class _PiaSearch:
 
 
 def check_pia(r: Relation, x: Iterable[str], y: Iterable[str]) -> CheckReport:
-    """Exact decision of a possible atom by depth-first support search."""
-    xset, yset = frozenset(x), frozenset(y)
-    xi, yi, oi = _split_indices(r.schema, xset, yset)
-    if r.row_count == 0:
-        return CheckReport(True, METHOD_PIA_SEARCH, stats={"nodes": 0}, witness=r)
-
-    # Attributes on both sides must become constant in any witnessing
-    # grounding, which pins them independently of the disjoint core.
-    overlap_fixed: dict[int, str] = {}
-    for j in oi:
-        seen = {row[j] for row in r.rows if row[j] is not NULL}
-        if len(seen) > 1:
-            return CheckReport(False, METHOD_PIA_SEARCH, stats={"nodes": 0})
-        if seen:
-            overlap_fixed[j] = seen.pop()
-
-    if not xi or not yi:
-        witness = ground(r.schema, r.rows, r.counts, overlap_fixed)
-        return CheckReport(True, METHOD_PIA_SEARCH, stats={"nodes": 0}, witness=witness)
+    """Exact decision of a possible atom.  The constancy rule answers first.
+    Otherwise the shared columns are pinned, which touches no column of the
+    disjoint core: a core of two single attributes takes the pooled
+    assignment, and any other core the counting bound and the support search."""
+    xi, yi, oi = _split_indices(r.schema, x, y)
+    decided, fixed = _by_constancy(r, xi, yi, oi)
+    if decided is not None:
+        return decided
 
     x_attrs = tuple(r.schema.attributes[j] for j in xi)
     y_attrs = tuple(r.schema.attributes[j] for j in yi)
+    if len(xi) == len(yi) == 1:
+        if fixed:
+            rows = [
+                tuple(fixed.get(j, v) if v is NULL else v for j, v in enumerate(row))
+                for row in r.rows
+            ]
+            r = Relation.from_rows(r.schema, rows, r.counts, validate=False)
+        return check_pia_unary(r, *x_attrs, *y_attrs)
     if not pia_counting_bound(r, x_attrs, y_attrs):
         return CheckReport(False, METHOD_PIA_SEARCH, stats={"nodes": 0, "counting_bound": True})
 
@@ -554,19 +564,14 @@ def check_pia(r: Relation, x: Iterable[str], y: Iterable[str]) -> CheckReport:
     stats = {"nodes": search.nodes, "augmentations": search.augmentations}
     if not found:
         return CheckReport(False, METHOD_PIA_SEARCH, stats=stats)
-    witness = ground(r.schema, search.result, fixed=overlap_fixed)
+    witness = ground(r.schema, search.result, fixed=fixed)
     return CheckReport(True, METHOD_PIA_SEARCH, stats=stats, witness=witness)
 
 
 # -- dispatch ---------------------------------------------------------------
 
 
-def check_atom(
-    r: Relation,
-    atom,
-    method: str = "auto",
-    oracle_bound: int = DEFAULT_ORACLE_BOUND,
-) -> CheckReport:
+def check_atom(r: Relation, atom, method: str = "auto") -> CheckReport:
     """Route an atom to a checker.  ``auto`` uses the direct and
     polynomial/search paths; ``oracle`` enumerates groundings."""
     if method not in ("auto", "oracle"):
@@ -575,12 +580,8 @@ def check_atom(
         return CheckReport(check_ia(r, atom.lhs, atom.rhs), METHOD_IA_DIRECT)
     if method == "oracle":
         if atom.modality == "certain":
-            return cia_oracle_report(r, atom.lhs, atom.rhs, oracle_bound)
-        return check_pia_oracle(r, atom.lhs, atom.rhs, oracle_bound)
+            return cia_oracle_report(r, atom.lhs, atom.rhs)
+        return check_pia_oracle(r, atom.lhs, atom.rhs)
     if atom.modality == "certain":
         return CheckReport(check_cia_fast(r, atom.lhs, atom.rhs), METHOD_CIA_FAST)
-    if len(atom.lhs) == 1 and len(atom.rhs) == 1:
-        (a,) = atom.lhs
-        (b,) = atom.rhs
-        return check_pia_unary(r, a, b)
     return check_pia(r, atom.lhs, atom.rhs)

@@ -26,7 +26,7 @@ from indepkit import (
     pia_separating_family,
     relation_from_csv,
 )
-from indepkit.model_check import ground, is_certainly_constant
+from indepkit.model_check import ORACLE_BOUND, _PiaSearch, ground, is_certainly_constant
 from helpers import groundings, is_grounding, random_relation, random_sides
 
 
@@ -44,6 +44,14 @@ class _Colliding(str):
 
     def __hash__(self):
         return 0
+
+
+def search(r: Relation, x, y) -> _PiaSearch:
+    """The support search run on its own over disjoint sides, past the
+    constancy rule that answers constant sides in ``check_pia``."""
+    engine = _PiaSearch(r, r.schema.indices(x), r.schema.indices(y))
+    engine.run()
+    return engine
 
 
 def colliding(r: Relation) -> Relation:
@@ -139,11 +147,14 @@ class TestOracles:
             assert cia_oracle_report(world1, x, y).verdict == direct
             assert check_pia_oracle(world1, x, y).verdict == direct
 
-    def test_bound_exceeded_is_an_error(self, table1):
+    def test_bound_exceeded_is_an_error(self):
+        # 21 null cells over binary domains: one grounding above the bound
+        r = rel("AB", [("0", "1")] * 2, [(NULL, "0"), ("1", NULL)], [11, 10])
+        assert r.count_groundings() == 2 * ORACLE_BOUND
         with pytest.raises(OracleInfeasibleError):
-            cia_oracle_report(table1, {"e"}, {"s"}, bound=10)
+            cia_oracle_report(r, {"A"}, {"B"})
         with pytest.raises(OracleInfeasibleError):
-            check_pia_oracle(table1, {"e"}, {"s"}, bound=10)
+            check_pia_oracle(r, {"A"}, {"B"})
 
     def test_oracles_match_the_grounding_quantifiers(self):
         # anchor: quantify over the full grounding stream, nothing shared
@@ -273,6 +284,27 @@ class TestPiaSearch:
         assert check_ia(report.witness, x, y)
         assert report.witness.size == r.size
 
+    def test_overlapping_unary_core_takes_the_pooled_assignment(self):
+        # C is on both sides and pinned to its observed 1; the core A, B is
+        # decided by the unary assignment, not by the search
+        r = rel("ABC", [("0", "1", "2")] * 3, [("1", NULL, "1"), ("0", "1", NULL), ("1", "0", NULL), ("0", NULL, NULL)])
+        x, y = {"A", "C"}, {"B", "C"}
+        report = check_pia(r, x, y)
+        assert (report.verdict, report.method) == (True, "pia_flow")
+        assert check_ia(report.witness, x, y)
+        assert is_grounding(r, report.witness)
+        assert {row[2] for row in report.witness.rows} == {"1"}
+
+    def test_constant_side_holds_without_search(self):
+        # C, D show one value per column, so the atom holds at 0 nodes
+        r = rel("ABCD", [("0", "1", "2")] * 4, [("0", NULL, "2", NULL), ("1", "1", NULL, "0"), (NULL, "0", "2", NULL)])
+        x, y = {"A", "B"}, {"C", "D"}
+        report = check_pia(r, x, y)
+        assert report.verdict and report.stats == {"nodes": 0, "constancy": True}
+        assert check_ia(report.witness, x, y)
+        assert is_grounding(r, report.witness)
+        assert check_pia(ladder(20), {"A", "B"}, {"C", "D"}).stats["nodes"] == 0
+
     def test_search_depth_does_not_grow_the_call_stack(self):
         r = ladder(120)
         depth, frame = 0, sys._getframe()
@@ -281,11 +313,17 @@ class TestPiaSearch:
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(depth + 60)
         try:
-            report = check_pia(r, {"A", "B"}, {"C", "D"})
+            engine = search(r, {"A", "B"}, {"C", "D"})
         finally:
             sys.setrecursionlimit(limit)
-        assert report.verdict and report.stats["nodes"] == 121
-        assert check_ia(report.witness, {"A", "B"}, {"C", "D"})
+        assert engine.result is not None and engine.nodes == 121
+        assert check_ia(ground(r.schema, engine.result), {"A", "B"}, {"C", "D"})
+
+    def test_search_on_2000_rows_visits_one_node_per_row(self):
+        # rows a_i,*,0,0: the support search adds one element per row, so
+        # its cost per node must not grow with the rows already covered
+        engine = search(ladder(2000), {"A", "B"}, {"C", "D"})
+        assert engine.result is not None and engine.nodes == 2001
 
     @pytest.mark.parametrize("clash", [False, True], ids=["own-digests", "one-digest"])
     @pytest.mark.parametrize(
@@ -306,9 +344,12 @@ class TestPiaSearch:
             # every value hashes alike, so the support search must tell
             # patterns apart by equality alone
             r = colliding(r)
+        engine = search(r, x, y)
+        assert (engine.result is not None, engine.nodes) == (verdict, nodes)
         report = check_pia(r, x, y)
-        assert (report.verdict, report.stats["nodes"]) == (verdict, nodes)
+        assert report.verdict == verdict
         if verdict:
+            assert check_ia(ground(r.schema, engine.result), x, y)
             assert check_ia(report.witness, x, y)
             assert report.witness.size == r.size
 
@@ -322,8 +363,8 @@ class TestPiaSearch:
         assert is_grounding(r, report.witness)
 
     def test_each_ladder_node_runs_one_augmenting_path(self):
-        report = check_pia(ladder(20), {"A", "B"}, {"C", "D"})
-        assert report.stats == {"nodes": 21, "augmentations": 20}
+        engine = search(ladder(20), {"A", "B"}, {"C", "D"})
+        assert (engine.nodes, engine.augmentations) == (21, 20)
 
     def test_agrees_with_oracle_on_random_instances(self):
         rng = random.Random(21)
@@ -431,5 +472,5 @@ class TestReportSerialization:
         data = report.to_json_dict()
         assert set(data) == {"verdict", "method", "stats", "witness"}
         assert data["verdict"] is True
-        assert data["method"] == "pia_search"
+        assert data["method"] == "pia_flow"
         assert isinstance(data["witness"], str) and data["witness"].startswith("a,")
