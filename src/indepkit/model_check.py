@@ -4,8 +4,9 @@ Plain atoms are checked directly on the relation.  Possible and certain atoms
 quantify over groundings; both get a brute-force grounding oracle plus an
 exact fast path:
 
-* certain atoms reduce to constancy of a side or plain independence, because
-  a grounding of an incomplete projection always escapes multiset inclusion;
+* certain atoms reduce to constancy of the shared columns and of a side, or
+  to the complete rows' tuples forming the product of the values every copy
+  can take; a null in a column with an unused domain value refutes at once;
 * unary possible atoms become an assignment question: every cell of the
   product of the non-null column values that no complete tuple covers takes
   one copy from a null pool ``(a, *)``, ``(*, b)`` or ``(*, *)``;
@@ -26,6 +27,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -132,18 +134,69 @@ def is_certainly_constant(r: Relation, x: Iterable[str]) -> bool:
 def check_cia_fast(r: Relation, x: Iterable[str], y: Iterable[str]) -> bool:
     """Certain independence without enumerating groundings.
 
-    A grounding of an incomplete projection has the same total multiplicity
-    but is a different multiset, so it is never included in the original;
-    hence for two or more rows the atom is certain exactly when one side is
-    certainly constant or the relation already satisfies the plain atom.
+    Write O = X∩Y, X' = X∖Y and Y' = Y∖X.  Let AX be the X'-values some
+    tuple copy can ground to, AY likewise, and F the X'Y'-tuples of the rows
+    complete on X'∪Y', with projections FX and FY.  With two or more copies
+    the atom is certain exactly when O is certainly constant and X' or Y' is
+    empty or certainly constant, or F = AX × AY.
+
+    ⇐: O is constant in every grounding.  An empty or constant side makes
+    any support a product.  Otherwise every grounding's X'Y'-support lies in
+    AX × AY = F and contains F, the complete rows.
+
+    ⇒: a null in O grounds apart from another copy.  Otherwise |AX| ≥ 2,
+    |AY| ≥ 2; pick (x, y) in AX × AY ∖ F.  Each copy can avoid (x, y): it is
+    either complete, hence not (x, y), or has a null to set apart.  So the
+    atom fails if one copy can take x with a Y'-value other than y and
+    another can take y with an X'-value other than x.  Say no copy can take
+    x without y (the other case is symmetric): each copy that can take x has
+    Y'-value y, and one of them, c, has an X'-null since (x, y) ∉ F.  Take
+    y' ≠ y in AY.  Then (x, y') ∉ F, c takes x without y', and a copy that
+    can take y' can avoid x (else its Y'-value would be y), so (x, y') fails.
+
+    Computed in this order: O, then the sides' constancy, then a null in a
+    column of X'∪Y' that does not show every value of its domain, which puts
+    an X'- or Y'-value outside FX or FY (the usual exit with inferred
+    domains), then F = FX × FY with AX ⊆ FX and AY ⊆ FY.
     """
     if r.size <= 1:
         return True
-    return (
-        is_certainly_constant(r, x)
-        or is_certainly_constant(r, y)
-        or check_ia(r, x, y)
-    )
+    xset, yset = frozenset(x), frozenset(y)
+    if not is_certainly_constant(r, xset & yset):
+        return False
+    xo, yo = xset - yset, yset - xset
+    if not xo or not yo or is_certainly_constant(r, xo) or is_certainly_constant(r, yo):
+        return True
+    xi, yi = r.schema.indices(xo), r.schema.indices(yo)
+    for j in xi + yi:
+        shown = {row[j] for row in r.rows}
+        if NULL in shown and len(shown) <= len(r.schema.domains[j]):
+            return False
+    f = {
+        (tuple(row[j] for j in xi), tuple(row[j] for j in yi))
+        for row in r.rows
+        if all(row[j] is not NULL for j in xi + yi)
+    }
+    fx, fy = {t for t, _ in f}, {t for _, t in f}
+    return len(f) == len(fx) * len(fy) and _grounds_into(r, xi, fx) and _grounds_into(r, yi, fy)
+
+
+def _grounds_into(r: Relation, cols: tuple[int, ...], support: set[tuple]) -> bool:
+    """Does every row's pattern on the columns ground only into the support?
+    A pattern with nulls at positions N does when the support tuples that
+    agree with it outside N number the product of the domain sizes over N;
+    one pass over the support per null mask counts them all."""
+    counts_by_mask: dict[tuple[bool, ...], Counter] = {}
+    for pattern in {tuple(row[j] for j in cols) for row in r.rows}:
+        mask = tuple(v is NULL for v in pattern)
+        if mask not in counts_by_mask:
+            counts_by_mask[mask] = Counter(
+                tuple(NULL if blank else v for v, blank in zip(t, mask)) for t in support
+            )
+        need = math.prod(len(r.schema.domains[j]) for j, blank in zip(cols, mask) if blank)
+        if counts_by_mask[mask][pattern] != need:
+            return False
+    return True
 
 
 # -- grounding oracle ------------------------------------------------------

@@ -65,6 +65,35 @@ def random_relation(
             return relation
 
 
+def saturated_relation(
+    rng: random.Random,
+    max_attrs: int = 4,
+    max_domain: int = 3,
+    max_extra: int = 4,
+    grounding_cap: int = 2**12,
+) -> Relation:
+    """A random relation whose domains leave no spare value on two of its
+    columns: the full product of their domains (other cells random), plus up
+    to ``max_extra`` rows with 30 % nulls; multiplicities up to 2."""
+    while True:
+        width = rng.randint(2, max_attrs)
+        domains = tuple(
+            tuple(str(v) for v in range(rng.randint(2, max_domain))) for _ in range(width)
+        )
+        a, b = rng.sample(range(width), 2)
+        rows = []
+        for va, vb in itertools.product(domains[a], domains[b]):
+            row = [rng.choice(d) for d in domains]
+            row[a], row[b] = va, vb
+            rows.append(row)
+        for _ in range(rng.randint(0, max_extra)):
+            rows.append([NULL if rng.random() < 0.3 else rng.choice(d) for d in domains])
+        counts = [rng.randint(1, 2) for _ in rows]
+        relation = Relation.from_rows(Schema(ATTR_NAMES[:width], domains), rows, counts)
+        if relation.count_groundings() <= grounding_cap:
+            return relation
+
+
 def random_sides(
     rng: random.Random, schema: Schema
 ) -> tuple[frozenset[str], frozenset[str]]:
@@ -94,7 +123,7 @@ def random_atom_set(
 def is_grounding(r: Relation, witness: Relation) -> bool:
     """Is the witness complete and a one-to-one match of the relation's
     copies in which every non-null cell is kept?"""
-    if not witness.is_complete() or witness.size != r.size:
+    if any(NULL in row for row in witness.rows) or witness.size != r.size:
         return False
     rows = [row for row, c in zip(r.rows, r.counts) for _ in range(c)]
     copies = [row for row, c in zip(witness.rows, witness.counts) for _ in range(c)]

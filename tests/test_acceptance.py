@@ -46,6 +46,7 @@ from helpers import (
     random_cnf,
     random_relation,
     random_sides,
+    saturated_relation,
 )
 
 
@@ -149,6 +150,12 @@ def test_criterion_05_oracle_equivalence():
                 check_pia_unary(relation, a, b).verdict
                 == check_pia_oracle(relation, {a}, {b}).verdict
             )
+        # domains with no spare value on two columns, for the certain test
+        rng = random.Random(1105)
+        for _ in range(300):
+            relation = saturated_relation(rng)
+            x, y = random_sides(rng, relation.schema)
+            assert check_cia_fast(relation, x, y) == cia_oracle_report(relation, x, y).verdict
 
 
 def test_criterion_06_sat_round_trip():

@@ -27,7 +27,7 @@ from indepkit import (
     relation_from_csv,
 )
 from indepkit.model_check import ORACLE_BOUND, _PiaSearch, ground, is_certainly_constant
-from helpers import groundings, is_grounding, random_relation, random_sides
+from helpers import groundings, is_grounding, random_relation, random_sides, saturated_relation
 
 
 def rel(attrs, domains, rows, counts=None) -> Relation:
@@ -189,7 +189,7 @@ class TestOracles:
         report = cia_oracle_report(table1, {"e"}, {"s"})
         assert not report.verdict
         assert report.witness is not None
-        assert report.witness.is_complete()
+        assert all(NULL not in row for row in report.witness.rows)
         assert not check_ia(report.witness, {"e"}, {"s"})
 
 
@@ -236,12 +236,31 @@ class TestCiaFast:
         # the unique grounding of each shape is a one-row complete relation
         assert all(check_ia(g, {"A"}, {"A"}) for g in groundings(r))
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP defect 1")
     def test_agrees_with_oracle_when_the_domains_leave_no_spare_value(self):
         rows = [("0", "0"), ("0", "1"), ("1", "0"), ("1", "1"), ("0", NULL)]
         r = rel("AB", [("0", "1")] * 2, rows)
         atom = parse_atom("A _||_c B", r.schema)
         assert check_atom(r, atom).verdict == check_atom(r, atom, method="oracle").verdict
+
+    def test_pattern_outside_the_complete_product_refutes(self):
+        # both columns show every value, but the complete rows cover only
+        # {0} x {0, 1}, while the null in B's row 1,* can ground to 1,0
+        rows = [("0", "0"), ("0", "1"), ("1", NULL)]
+        r = rel("AB", [("0", "1")] * 2, rows)
+        assert not check_cia_fast(r, {"A"}, {"B"})
+        assert not cia_oracle_report(r, {"A"}, {"B"}).verdict
+
+    def test_agrees_with_oracle_on_saturated_domains(self):
+        # half the cases hold a full product on two columns, so most nulls
+        # have no unused domain value to ground to
+        rng = random.Random(26)
+        for k in range(600):
+            if k % 2:
+                r = saturated_relation(rng)
+            else:
+                r = random_relation(rng, grounding_cap=2**12)
+            x, y = random_sides(rng, r.schema)
+            assert check_cia_fast(r, x, y) == cia_oracle_report(r, x, y).verdict, (r, x, y)
 
 
 class TestCountingBound:
@@ -441,7 +460,7 @@ class TestStructuralProperties:
             if not report.verdict:
                 continue
             witness = report.witness
-            assert witness.is_complete()
+            assert all(NULL not in row for row in witness.rows)
             assert witness.size == r.size
             assert check_ia(witness, x, y)
             # every original row, restricted to its non-null cells, appears
