@@ -15,6 +15,18 @@ from .relation import NULL, Relation, Schema
 
 _BINARY = ("0", "1")
 
+# The separating family and the parity relation refuse to build more
+# distinct rows than this, so that no accepted input runs for long before
+# it prints (2^16 rows take about a second).
+MAX_CONSTRUCTION_ROWS = 2**16
+
+
+def _refuse_above_limit(bits: int, extra: int, what: str) -> None:
+    """Refuse a construction of 2**bits + extra distinct rows above the
+    limit, before building any of it."""
+    if bits >= MAX_CONSTRUCTION_ROWS.bit_length() or 2**bits + extra > MAX_CONSTRUCTION_ROWS:
+        raise ValueError(f"{what} would build more than {MAX_CONSTRUCTION_ROWS} distinct rows")
+
 
 def exchange_failure_relation() -> Relation:
     """Four rows over A, B, C with two nulls in column A: both unary possible
@@ -52,6 +64,7 @@ def pia_separating_family(k: int, m: int, extra: tuple[str, ...] = ()) -> Relati
     """
     if not (k >= m >= 1):
         raise ValueError("parameters must satisfy k >= m >= 1")
+    _refuse_above_limit(k, 1, "the separating family")
     x_attrs = tuple(f"X{i}" for i in range(1, k + 1))
     y_attrs = tuple(f"Y{i}" for i in range(1, m + 1))
     attributes = x_attrs + y_attrs + tuple(extra)
@@ -92,6 +105,7 @@ def parity_relation(
     pivot = pivot if pivot is not None else x_attrs[0]
     if pivot not in x_attrs:
         raise ValueError("the pivot attribute must come from the first side")
+    _refuse_above_limit(len(x_attrs) + len(y_attrs), 0, "the parity relation")
     schema = Schema(attributes, tuple(_BINARY for _ in attributes))
     p = attributes.index(pivot)
     xy = len(x_attrs) + len(y_attrs)
@@ -171,12 +185,6 @@ class CnfFormula:
         if not saw_header and not clauses:
             raise ParseError("no DIMACS content found")
         return cls(num_vars, tuple(clauses))
-
-    def to_dimacs(self) -> str:
-        lines = [f"p cnf {self.num_vars} {len(self.clauses)}"]
-        for clause in self.clauses:
-            lines.append(" ".join(str(l) for l in clause) + " 0")
-        return "\n".join(lines) + "\n"
 
     def variables(self) -> tuple[int, ...]:
         seen = sorted({abs(l) for clause in self.clauses for l in clause})

@@ -108,9 +108,6 @@ class Schema:
         except KeyError:
             raise SchemaError(f"unknown attribute {attribute!r}") from None
 
-    def domain(self, attribute: str) -> tuple[str, ...]:
-        return self.domains[self.index(attribute)]
-
     def indices(self, attributes: Iterable[str]) -> tuple[int, ...]:
         """Positions of the given attributes, in schema order."""
         wanted = {self.index(a) for a in attributes}
@@ -198,9 +195,6 @@ class Relation:
             if row[i] != NULL:
                 out[row[i]] = None
         return tuple(out)
-
-    def is_complete(self) -> bool:
-        return all(NULL not in row for row in self.rows)
 
     def project(self, attributes: Iterable[str]) -> Relation:
         """Projection onto the given attributes; multiplicities are summed

@@ -113,9 +113,6 @@ class Derivation:
     def conclusion(self) -> Atom:
         return self.steps[-1].atom
 
-    def rules_used(self) -> tuple[str, ...]:
-        return tuple(s.rule for s in self.steps if s.rule is not None)
-
 
 class _Saturator:
     """Worklist closure computation with backpointers for proof extraction."""

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -204,6 +205,22 @@ class TestWitnessAndCnf:
             capsys, "witness", "constancy", "--attr", "B", "--universe", "B,Z"
         )
         assert code == 0 and "B,Z" == out.splitlines()[0]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["witness", "pia-family", "--k", "30", "--m", "1"],
+            ["witness", "parity", "--x", ",".join(f"A{i}" for i in range(15)),
+             "--y", ",".join(f"B{i}" for i in range(15))],
+        ],
+        ids=["pia-family-k30", "parity-30-attributes"],
+    )
+    def test_construction_above_the_row_limit_exits_2(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert "more than 65536 distinct rows" in err and "Traceback" not in err
 
     def test_unknown_witness_name(self, capsys):
         code, _, err = run(capsys, "witness", "nope")

@@ -116,6 +116,13 @@ class TestSeparatingFamily:
         with pytest.raises(ValueError):
             pia_separating_family(1, 2)
 
+    def test_refuses_more_rows_than_the_limit(self):
+        # 2^k + 1 distinct rows: k = 15 fits under 2^16, k = 16 does not
+        assert pia_separating_family(15, 1).row_count == 2**15 + 1
+        for k in (16, 30, 10**9):
+            with pytest.raises(ValueError, match="more than 65536 distinct rows"):
+                pia_separating_family(k, 1)
+
 
 class TestParityRelation:
     def test_unary_case_exact(self):
@@ -158,12 +165,19 @@ class TestParityRelation:
         with pytest.raises(ValueError):
             parity_relation(("A",), ("B",), (), pivot="B")
 
+    def test_refuses_more_rows_than_the_limit(self):
+        # 2^|XY| distinct rows, whatever the extra columns
+        names = [f"A{i}" for i in range(30)]
+        with pytest.raises(ValueError, match="more than 65536 distinct rows"):
+            parity_relation(tuple(names[:15]), tuple(names[15:17]), ())
+        assert parity_relation(("A",), ("B",), tuple(names)).row_count == 4
+
 
 class TestConstancyCounterexample:
     def test_two_row_product(self):
         r = constancy_counterexample("B", ("B", "Z"))
         assert set(r.rows) == {("0", "0"), ("1", "0")}
-        assert r.is_complete()
+        assert all(NULL not in row for row in r.rows)
 
     def test_refutes_self_independence(self):
         r = constancy_counterexample("B", ("B", "Z"))
@@ -185,7 +199,7 @@ class TestCnf:
 
     def test_dimacs_round_trip(self):
         phi = CnfFormula(3, ((2, 3), (1, -2, 3), (-3,)))
-        again = CnfFormula.from_dimacs(phi.to_dimacs())
+        again = CnfFormula.from_dimacs("p cnf 3 3\n2 3 0\n1 -2 3 0\n-3 0\n")
         assert again == phi
 
     def test_dimacs_parse_errors(self):

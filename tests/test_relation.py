@@ -111,12 +111,7 @@ class TestGroundings:
 
     def test_count_complete_relation(self, world1):
         assert world1.count_groundings() == 1
-        assert world1.is_complete()
-
-    def test_completeness_flags(self, table1):
-        assert not table1.is_complete()
-        empty = Relation.from_rows(table1.schema, [])
-        assert empty.is_complete()
+        assert all(NULL not in row for row in world1.rows)
 
     def test_count_independent_copies(self):
         r = Relation.from_rows(binary_schema("A", "B"), [(NULL, NULL)], [2])
@@ -139,7 +134,7 @@ class TestGroundings:
             domain_sets = [set(d) for d in r.schema.domains]
             all_groundings = groundings(r)
             for g in all_groundings:
-                assert g.is_complete()
+                assert all(NULL not in row for row in g.rows)
                 for row in g.rows:
                     for j, v in enumerate(row):
                         assert v in domain_sets[j]
@@ -178,12 +173,13 @@ class TestCsv:
 
     def test_inference_pads_small_columns(self, table1):
         # race: one observed value, one null cell -> padded to three values
-        assert len(table1.schema.domain("r")) == 3
-        assert table1.schema.domain("r")[0] == "white"
+        domain = dict(zip(table1.schema.attributes, table1.schema.domains))
+        assert len(domain["r"]) == 3
+        assert domain["r"][0] == "white"
         # status: two observed values, no nulls -> untouched
-        assert set(table1.schema.domain("s")) == {"not-in-family", "in-family"}
+        assert set(domain["s"]) == {"not-in-family", "in-family"}
         # education: two observed values plus two null cells
-        assert len(table1.schema.domain("e")) == 4
+        assert len(domain["e"]) == 4
 
     def test_inference_formula(self):
         domains = infer_domains(
