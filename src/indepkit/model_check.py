@@ -29,6 +29,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import FragmentError, OracleInfeasibleError
@@ -119,14 +120,9 @@ def is_certainly_constant(r: Relation, x: Iterable[str]) -> bool:
     Relations with at most one row qualify trivially."""
     if r.size <= 1:
         return True
-    idx = r.schema.indices(x)
-    values = set()
-    for row in r.rows:
-        key = tuple(row[j] for j in idx)
-        if NULL in key:
-            return False
-        values.add(key)
-        if len(values) > 1:
+    for j in r.schema.indices(x):
+        first = r.rows[0][j]
+        if first is NULL or any(row[j] != first for row in r.rows):
             return False
     return True
 
@@ -168,32 +164,35 @@ def check_cia_fast(r: Relation, x: Iterable[str], y: Iterable[str]) -> bool:
     if not xo or not yo or is_certainly_constant(r, xo) or is_certainly_constant(r, yo):
         return True
     xi, yi = r.schema.indices(xo), r.schema.indices(yo)
-    for j in xi + yi:
-        shown = {row[j] for row in r.rows}
-        if NULL in shown and len(shown) <= len(r.schema.domains[j]):
+    patterns = set(map(itemgetter(*xi, *yi), r.rows))  # two or more columns: tuples
+    domains = [r.schema.domains[j] for j in xi + yi]
+    for k, dom in enumerate(domains):
+        shown = {p[k] for p in patterns}
+        if NULL in shown and len(shown) <= len(dom):
             return False
-    f = {
-        (tuple(row[j] for j in xi), tuple(row[j] for j in yi))
-        for row in r.rows
-        if all(row[j] is not NULL for j in xi + yi)
-    }
-    fx, fy = {t for t, _ in f}, {t for _, t in f}
-    return len(f) == len(fx) * len(fy) and _grounds_into(r, xi, fx) and _grounds_into(r, yi, fy)
+    n = len(xi)
+    f = {p for p in patterns if NULL not in p}
+    fx, fy = {p[:n] for p in f}, {p[n:] for p in f}
+    return (
+        len(f) == len(fx) * len(fy)
+        and _grounds_into({p[:n] for p in patterns}, domains[:n], fx)
+        and _grounds_into({p[n:] for p in patterns}, domains[n:], fy)
+    )
 
 
-def _grounds_into(r: Relation, cols: tuple[int, ...], support: set[tuple]) -> bool:
-    """Does every row's pattern on the columns ground only into the support?
-    A pattern with nulls at positions N does when the support tuples that
-    agree with it outside N number the product of the domain sizes over N;
-    one pass over the support per null mask counts them all."""
+def _grounds_into(patterns: set[tuple], domains: list[tuple[str, ...]], support: set[tuple]) -> bool:
+    """Does every pattern ground only into the support?  A pattern with nulls
+    at positions N does when the support tuples that agree with it outside N
+    number the product of the domain sizes over N; one pass over the support
+    per null mask counts them all."""
     counts_by_mask: dict[tuple[bool, ...], Counter] = {}
-    for pattern in {tuple(row[j] for j in cols) for row in r.rows}:
+    for pattern in patterns:
         mask = tuple(v is NULL for v in pattern)
         if mask not in counts_by_mask:
             counts_by_mask[mask] = Counter(
                 tuple(NULL if blank else v for v, blank in zip(t, mask)) for t in support
             )
-        need = math.prod(len(r.schema.domains[j]) for j, blank in zip(cols, mask) if blank)
+        need = math.prod(len(dom) for dom, blank in zip(domains, mask) if blank)
         if counts_by_mask[mask][pattern] != need:
             return False
     return True
