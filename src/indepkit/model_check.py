@@ -7,6 +7,8 @@ exact fast path:
 * certain atoms reduce to constancy of the shared columns and of a side, or
   to the complete rows' tuples forming the product of the values every copy
   can take; a null in a column with an unused domain value refutes at once;
+* a possible atom fails when a shared column shows two values and holds when
+  a side's own columns can ground to a constant (the constancy rule);
 * unary possible atoms become an assignment question: every cell of the
   product of the non-null column values that no complete tuple covers takes
   one copy from a null pool ``(a, *)``, ``(*, b)`` or ``(*, *)``;
@@ -117,7 +119,7 @@ def check_ia(r: Relation, x: Iterable[str], y: Iterable[str]) -> bool:
 
 def is_certainly_constant(r: Relation, x: Iterable[str]) -> bool:
     """Does every grounding make the x-columns a single constant tuple?
-    Relations with at most one row qualify trivially."""
+    Relations with at most one row and empty x qualify trivially."""
     if r.size <= 1:
         return True
     for j in r.schema.indices(x):
@@ -155,13 +157,11 @@ def check_cia_fast(r: Relation, x: Iterable[str], y: Iterable[str]) -> bool:
     an X'- or Y'-value outside FX or FY (the usual exit with inferred
     domains), then F = FX × FY with AX ⊆ FX and AY ⊆ FY.
     """
-    if r.size <= 1:
-        return True
     xset, yset = frozenset(x), frozenset(y)
     if not is_certainly_constant(r, xset & yset):
         return False
     xo, yo = xset - yset, yset - xset
-    if not xo or not yo or is_certainly_constant(r, xo) or is_certainly_constant(r, yo):
+    if is_certainly_constant(r, xo) or is_certainly_constant(r, yo):  # also when empty
         return True
     xi, yi = r.schema.indices(xo), r.schema.indices(yo)
     patterns = set(map(itemgetter(*xi, *yi), r.rows))  # two or more columns: tuples
@@ -180,7 +180,9 @@ def check_cia_fast(r: Relation, x: Iterable[str], y: Iterable[str]) -> bool:
     )
 
 
-def _grounds_into(patterns: set[tuple], domains: list[tuple[str, ...]], support: set[tuple]) -> bool:
+def _grounds_into(
+    patterns: set[tuple], domains: list[tuple[str, ...]], support: set[tuple]
+) -> bool:
     """Does every pattern ground only into the support?  A pattern with nulls
     at positions N does when the support tuples that agree with it outside N
     number the product of the domain sizes over N; one pass over the support
