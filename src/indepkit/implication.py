@@ -1,12 +1,13 @@
 """Implication deciders and bounded semantic refutation.
 
-For plain and certain atoms implication reduces to closure membership in the
-respective rule system; the modality-stripping map makes the two problems
-coincide.  For possible atoms the polynomial containment procedure decides
-goals with a singleton side or near-equal side sizes, and for disjoint mixed
-sets a certain goal depends only on the certain premises.  Everything outside
-these fragments is answered as derivability only (sound, not complete).
-``implies`` picks the decider for a query's fragment and labels the answer.
+Plain implication is decided in polynomial time by splitting the goal along
+the premises; certain implication is the plain problem on the
+modality-stripped atoms.  For possible atoms the polynomial containment
+procedure decides goals with a singleton side or near-equal side sizes, and
+for disjoint mixed sets a certain goal depends only on the certain premises.
+Everything outside these fragments is answered as derivability only (sound,
+not complete).  ``implies`` picks the decider for a query's fragment and
+labels the answer.
 
 ``search_counterexample`` hunts for a relation that satisfies every premise
 and violates the goal.  It enumerates relations by row count, then null
@@ -42,9 +43,7 @@ from .relation import NULL, Relation, Schema
 from .rules import (
     SYSTEM_DISJOINT_MIXED,
     SYSTEM_FULL,
-    SYSTEM_I,
     SYSTEM_I_P,
-    closure,
     derives,
 )
 
@@ -58,13 +57,48 @@ def constants_of(atoms: Iterable[Atom]) -> frozenset[str]:
 
 
 def implies_ia(sigma: Iterable[Atom], goal: Atom) -> bool:
-    """Implication among plain atoms (complete relations); the rule system is
-    sound and complete here, so closure membership is the answer."""
+    """Implication among plain atoms (complete relations), by splitting.
+
+    Let C be the attributes forced constant by the premises.  A goal whose
+    sides share an attribute outside C is not implied: the two-row relation
+    that varies only that attribute satisfies every premise.  Otherwise strip
+    C from the goal, which changes no verdict on a relation where C is
+    constant.  The stripped goal X ⊥ Y is implied when X or Y is empty.  Else
+    let Z = X ∪ Y and look for a premise A ⊥ B whose restrictions A' = A ∩ Z
+    and B' = B ∩ Z are both non-empty and cover Z; they are disjoint, as the
+    sides of a premise share only attributes of C.  The goal is implied
+    exactly when X ∩ A' ⊥ Y ∩ A' and X ∩ B' ⊥ Y ∩ B' are.  Each step splits
+    Z, so there are at most |Z| - 1 splits and the cost is O(|Σ|·n²).
+
+    Why any splitting premise will do: by decomposition the premise makes
+    r[Z] = r[A'] × r[B'] in every model, and on such a product X ⊥ Y holds
+    exactly when both restricted atoms hold; decomposition gives the
+    converse.  When no premise splits Z, the relation of the even-parity
+    0/1-tuples on Z, constant elsewhere, satisfies every premise (a premise
+    sees a proper subset of Z, on which the relation is a full product, or
+    has an empty side there) and refutes the goal, whose X ∪ Y = Z has half
+    the tuples of r[X] × r[Y].
+    """
     premises = list(sigma)
     check_same_modality(premises, PLAIN, "implies_ia")
     check_same_modality([goal], PLAIN, "implies_ia")
-    universe = attributes_of(premises) | goal.attributes
-    return goal in closure(premises, SYSTEM_I, universe)
+    constants = constants_of(premises)
+    if not goal.lhs & goal.rhs <= constants:
+        return False
+    todo = [(goal.lhs - constants, goal.rhs - constants)]
+    while todo:
+        xs, ys = todo.pop()
+        if not xs or not ys:
+            continue
+        z = xs | ys
+        for a in premises:
+            left, right = a.lhs & z, a.rhs & z
+            if left and right and left | right == z:
+                todo += [(xs & left, ys & left), (xs & right, ys & right)]
+                break
+        else:
+            return False
+    return True
 
 
 def implies_cia(sigma: Iterable[Atom], goal: Atom) -> bool:
