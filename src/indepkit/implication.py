@@ -273,11 +273,12 @@ def search_counterexample(
 
     Candidates come in a fixed order: by row count, then by null count, then
     lexicographically on the sorted indices of their rows among all cells
-    over the domain plus the null.  A candidate is skipped when a per-column
-    relabelling of its values gives a smaller index sequence.  Relabelling
-    keeps the row and null counts and every atom's verdict, so the least
-    member of each class is kept and comes first; pruning does not change
-    which witness is returned.
+    over the domain plus the null.  When every atom is plain, only complete
+    relations are candidates, since plain implication is defined over them.
+    A candidate is skipped when a per-column relabelling of its values gives
+    a smaller index sequence.  Relabelling keeps the row and null counts and
+    every atom's verdict, so the least member of each class is kept and
+    comes first; pruning does not change which witness is returned.
     """
     premises = list(sigma)
     universe = sorted(attributes_of(premises) | goal.attributes)
@@ -293,9 +294,11 @@ def search_counterexample(
     cells = list(itertools.product(domain + (NULL,), repeat=width))
     null_counts = [sum(1 for v in row if v == NULL) for row in cells]
     relabellings = _relabellings(cells, domain)
+    # plain atoms are read on complete relations only
+    nulls_per_row = 0 if all(a.modality == PLAIN for a in [*premises, goal]) else width
 
     for n_rows in range(1, bounds.max_rows + 1):
-        for budget in range(0, n_rows * width + 1):
+        for budget in range(0, n_rows * nulls_per_row + 1):
             for indices in _row_multisets(cells, null_counts, n_rows, budget, width):
                 if any(tuple(sorted(p[i] for i in indices)) < indices for p in relabellings):
                     continue

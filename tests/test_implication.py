@@ -14,8 +14,11 @@ from indepkit import (
     PLAIN,
     POSSIBLE,
     SYSTEM_DISJOINT_MIXED,
+    SYSTEM_FULL,
+    SYSTEM_I,
     SYSTEM_I_C,
     SYSTEM_I_P,
+    SaturationLimitError,
     SearchBounds,
     SearchBoundsError,
     check_atom,
@@ -28,6 +31,7 @@ from indepkit import (
     implies_pia_star,
     is_pia_star,
     parse_atom,
+    render_atom,
     search_counterexample,
 )
 from indepkit import implication
@@ -52,6 +56,74 @@ class TestImpliesIa:
     def test_modality_guard(self):
         with pytest.raises(FragmentError):
             implies_ia(atoms("A _||_c B"), parse_atom("A _||_ B"))
+
+
+def _constant_premise(rng, universe, modality):
+    """Occasionally a premise ``A _||_ A`` that makes one attribute constant."""
+    if rng.random() < 0.25:
+        a = rng.choice(universe)
+        return [make_atom({a}, {a}, modality)]
+    return []
+
+
+def _goals(rng, universe, modality, implied, disjoint=False):
+    """Five random goals over the universe plus, when the closure has any,
+    two drawn from its atoms with both sides non-empty."""
+    goals = []
+    for _ in range(5):
+        lhs = frozenset(a for a in universe if rng.random() < 0.4)
+        rhs = frozenset(a for a in universe if rng.random() < 0.4)
+        goals.append(Atom(lhs, rhs - lhs if disjoint else rhs, modality))
+    wide = sorted(
+        (a for a in implied if a.modality == modality and a.lhs and a.rhs), key=render_atom
+    )
+    return goals + (rng.sample(wide, 2) if len(wide) >= 2 else wide)
+
+
+class TestSplittingDecider:
+    """``implies_ia`` decides by splitting, not by saturation; these compare
+    it, and the two deciders that reduce to it, with closure membership on
+    2,000 premise sets over 4 to 6 attributes.  Saturation over 6 attributes
+    costs about 80 ms a set, so the plain and certain sets take 6 attributes
+    in one case of 7."""
+
+    PLAIN_SIZES = (4, 5, 4, 5, 4, 5, 6)
+
+    @staticmethod
+    def _differential(seed, sets, sizes, modalities, system, decide, disjoint=False):
+        rng = random.Random(seed)
+        modality = modalities[-1]
+        for i in range(sets):
+            universe = tuple("ABCDEF"[: sizes[i % len(sizes)]])
+            sigma = random_atom_set(rng, universe, modalities, max_atoms=3, disjoint=disjoint)
+            if not disjoint:
+                sigma += _constant_premise(rng, universe, modality)
+            implied = closure(sigma, system, universe)
+            for goal in _goals(rng, universe, modality, implied, disjoint):
+                assert decide(sigma, goal) == (goal in implied), (sigma, goal)
+
+    def test_plain_matches_closure(self):
+        self._differential(61, 600, self.PLAIN_SIZES, (PLAIN,), SYSTEM_I, implies_ia)
+
+    def test_certain_matches_closure(self):
+        self._differential(62, 300, self.PLAIN_SIZES, (CERTAIN,), SYSTEM_I_C, implies_cia)
+
+    def test_mixed_certain_goals_match_closure(self):
+        self._differential(
+            63, 1100, (4, 5, 6), (POSSIBLE, CERTAIN), SYSTEM_DISJOINT_MIXED,
+            implies_mixed_disjoint, disjoint=True,
+        )
+
+    def test_chain_over_24_attributes(self):
+        names = [f"A{i}" for i in range(24)]
+        chain = [make_atom(names[:k], [names[k]]) for k in range(1, 24)]
+        assert implies(chain, make_atom(names[:1], names[1:])).verdict
+        broken = chain[:11] + chain[12:]
+        assert not implies(broken, make_atom(names[:1], names[1:])).verdict
+        certain = [make_atom(a.lhs, a.rhs, CERTAIN) for a in chain]
+        assert implies(certain, make_atom(names[-1:], names[:-1], CERTAIN)).verdict
+        with pytest.raises(SaturationLimitError):
+            closure(chain, SYSTEM_I)
 
 
 class TestImpliesCia:
@@ -243,6 +315,46 @@ class TestSearchCounterexample:
         ]
         for sigma, goal in cases:
             assert search_counterexample(sigma, goal, SearchBounds(max_rows=3)) is None
+
+    @pytest.mark.parametrize(
+        "system, modalities",
+        [
+            (SYSTEM_I, (PLAIN,)),
+            (SYSTEM_I_C, (CERTAIN,)),
+            (SYSTEM_I_P, (POSSIBLE,)),
+            (SYSTEM_FULL, (POSSIBLE, CERTAIN)),
+            (SYSTEM_DISJOINT_MIXED, (POSSIBLE, CERTAIN)),
+        ],
+        ids=["I", "I_c", "I_p", "full", "disjoint-mixed"],
+    )
+    def test_derived_goals_have_no_counterexample(self, system, modalities):
+        # every rule system is sound: no small relation refutes what it derives
+        rng = random.Random(71)
+        universe = ("A", "B", "C")
+        disjoint = system == SYSTEM_DISJOINT_MIXED
+        goals = 0
+        while goals < 20:
+            sigma = random_atom_set(rng, universe, modalities, max_atoms=3, disjoint=disjoint)
+            derived = sorted(
+                (a for a in closure(sigma, system, universe)
+                 if a.lhs and a.rhs and a not in sigma),
+                key=render_atom,
+            )
+            if not derived:
+                continue
+            goal = rng.choice(derived)
+            goals += 1
+            assert search_counterexample(sigma, goal, SearchBounds(3, 3, 2)) is None, (sigma, goal)
+
+    def test_plain_candidates_are_complete(self):
+        # a null fails every plain atom on its column, so a relation with
+        # nulls would refute B _||_ A although B _||_ B implies it
+        sigma = atoms("B _||_ B")
+        goal = parse_atom("B _||_ A")
+        assert implies_ia(sigma, goal)
+        assert search_counterexample(sigma, goal, SearchBounds(3, 3, 2)) is None
+        witness = search_counterexample(atoms("A _||_ B"), parse_atom("A _||_ C"))
+        assert witness is not None and all(NULL not in row for row in witness.rows)
 
     def test_bound_overflow(self):
         sigma = [make_atom({"A", "B", "C"}, {"D", "E", "F"}, CERTAIN)]
