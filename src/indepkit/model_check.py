@@ -210,11 +210,13 @@ def ground(
     fixed: dict[int, str] | None = None,
 ) -> Relation:
     """The relation of the given rows with every remaining null in column j
-    set to ``fixed[j]``, or else to the column's first domain value."""
+    set to ``fixed[j]``, or else to the column's first domain value.  Complete
+    rows pass through as they are."""
     fixed = fixed or {}
     fill = [fixed.get(j, schema.domains[j][0]) for j in range(len(schema.domains))]
     grounded = [
-        tuple(fill[j] if v is NULL else v for j, v in enumerate(row)) for row in rows
+        row if NULL not in row else tuple(fill[j] if v is NULL else v for j, v in enumerate(row))
+        for row in rows
     ]
     return Relation.from_rows(schema, grounded, counts, validate=False)
 
@@ -271,7 +273,7 @@ def _pins(r: Relation, cols: Iterable[int]) -> dict[int, str] | None:
 
 
 def _by_constancy(
-    r: Relation, xi: tuple[int, ...], yi: tuple[int, ...], oi: tuple[int, ...]
+    r: Relation, sides: tuple[tuple[int, ...], ...], oi: tuple[int, ...]
 ) -> tuple[CheckReport | None, dict[int, str]]:
     """The constancy rule of a possible atom.  A shared column is constant in
     any witness, so one that shows two values refutes the atom.  A side whose
@@ -282,7 +284,7 @@ def _by_constancy(
     fixed = _pins(r, oi)
     if fixed is None:
         return CheckReport(False, METHOD_PIA_SEARCH, stats=rule), {}
-    for side in (xi, yi):
+    for side in sides:
         pins = _pins(r, side)
         if pins is not None:
             witness = ground(r.schema, r.rows, r.counts, {**fixed, **pins})
@@ -293,35 +295,45 @@ def _by_constancy(
 # -- unary possible atoms: pooled assignment --------------------------------
 
 
-def build_flow_network(r: Relation, a: str, b: str) -> FlowNetwork:
+@dataclass(frozen=True)
+class ProductNetwork(FlowNetwork):
+    """The assignment network of a unary possible atom, with the non-null
+    values of its two columns in first-occurrence order."""
+
+    a_values: tuple[str, ...]
+    b_values: tuple[str, ...]
+
+
+def build_flow_network(r: Relation, a: str, b: str) -> ProductNetwork:
     """Assignment network for a unary possible atom.  The items are the cells
     of the product of the non-null values of a and b that no complete tuple
     covers; the slots are the null pools ``(va, *)``, ``(*, vb)`` and
     ``(*, *)``, each holding its tuple copies.  A cell may take a copy from
-    its row pool, its column pool or the wildcard pool."""
+    its row pool, its column pool or the wildcard pool.  One pass over the
+    rows collects the value pairs, and with them each column's values."""
     if a == b:
         raise ValueError("two distinct attributes are required")
     ia, ib = r.schema.index(a), r.schema.index(b)
-    avals = r.distinct_nonnull(a)
-    bvals = r.distinct_nonnull(b)
-    if not avals or not bvals:
-        raise ValueError(f"column {a if not avals else b!r} has no non-null value")
-    covered: set[tuple] = set()
-    pools: dict[tuple, int] = {}
+    pairs: dict[tuple, int] = {}
     for row, count in zip(r.rows, r.counts):
         key = (row[ia], row[ib])
-        if key[0] is NULL or key[1] is NULL:
-            pools[key] = pools.get(key, 0) + count
-        else:
-            covered.add(key)
+        pairs[key] = pairs.get(key, 0) + count
+    # a value's first pair comes no later than its first row
+    avals = tuple(dict.fromkeys(va for va, _ in pairs if va is not NULL))
+    bvals = tuple(dict.fromkeys(vb for _, vb in pairs if vb is not NULL))
+    if not avals or not bvals:
+        raise ValueError(f"column {a if not avals else b!r} has no non-null value")
+    pools = {key: n for key, n in pairs.items() if key[0] is NULL or key[1] is NULL}
     slot_index = {key: s for s, key in enumerate(pools)}
-    cells = [(va, vb) for va in avals for vb in bvals if (va, vb) not in covered]
+    cells = [(va, vb) for va in avals for vb in bvals if (va, vb) not in pairs]
     edges = []
     for item, (va, vb) in enumerate(cells):
         for key in ((va, NULL), (NULL, vb), (NULL, NULL)):
             if key in slot_index:
                 edges.append((item, slot_index[key]))
-    return FlowNetwork(tuple(cells), tuple(pools), tuple(pools.values()), tuple(edges))
+    return ProductNetwork(
+        tuple(cells), tuple(pools), tuple(pools.values()), tuple(edges), avals, bvals
+    )
 
 
 def check_pia_unary(r: Relation, a: str, b: str) -> CheckReport:
@@ -329,13 +341,13 @@ def check_pia_unary(r: Relation, a: str, b: str) -> CheckReport:
     time: after the constancy rule, the atom holds exactly when every product
     cell of the non-null column values that no complete tuple covers takes a
     distinct copy from a null pool able to ground to it."""
-    decided, _ = _by_constancy(r, *_split_indices(r.schema, {a}, {b}))
+    xi, yi, oi = _split_indices(r.schema, {a}, {b})
+    decided, _ = _by_constancy(r, (xi, yi), oi)
     if decided is not None:
         return decided
     ia, ib = r.schema.index(a), r.schema.index(b)
-    avals = r.distinct_nonnull(a)
-    bvals = r.distinct_nonnull(b)
     network = build_flow_network(r, a, b)
+    avals, bvals = network.a_values, network.b_values
     assignment = max_flow_assignment(network)
     stats = {"target": len(avals) * len(bvals), "missing": len(network.items)}
     if assignment is None:
@@ -594,15 +606,17 @@ def check_pia(r: Relation, x: Iterable[str], y: Iterable[str]) -> CheckReport:
     """Exact decision of a possible atom.  The constancy rule answers first.
     Otherwise the shared columns are pinned, which touches no column of the
     disjoint core: a core of two single attributes takes the pooled
-    assignment, and any other core the counting bound and the support search."""
+    assignment, which applies the rule to its sides itself, and any other
+    core the counting bound and the support search."""
     xi, yi, oi = _split_indices(r.schema, x, y)
-    decided, fixed = _by_constancy(r, xi, yi, oi)
+    unary = len(xi) == len(yi) == 1
+    decided, fixed = _by_constancy(r, () if unary else (xi, yi), oi)
     if decided is not None:
         return decided
 
     x_attrs = tuple(r.schema.attributes[j] for j in xi)
     y_attrs = tuple(r.schema.attributes[j] for j in yi)
-    if len(xi) == len(yi) == 1:
+    if unary:
         if fixed:
             rows = [
                 tuple(fixed.get(j, v) if v is NULL else v for j, v in enumerate(row))

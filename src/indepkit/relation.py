@@ -187,15 +187,6 @@ class Relation:
         """Number of distinct rows."""
         return len(self.rows)
 
-    def distinct_nonnull(self, attribute: str) -> tuple[str, ...]:
-        """Distinct non-null column values, in first-occurrence order."""
-        i = self.schema.index(attribute)
-        out: dict[str, None] = {}
-        for row in self.rows:
-            if row[i] != NULL:
-                out[row[i]] = None
-        return tuple(out)
-
     def project(self, attributes: Iterable[str]) -> Relation:
         """Projection onto the given attributes; multiplicities are summed
         over rows that agree on them, so the total multiplicity is preserved."""
