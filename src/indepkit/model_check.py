@@ -276,10 +276,11 @@ def _by_constancy(
     r: Relation, sides: tuple[tuple[int, ...], ...], oi: tuple[int, ...]
 ) -> tuple[CheckReport | None, dict[int, str]]:
     """The constancy rule of a possible atom.  A shared column is constant in
-    any witness, so one that shows two values refutes the atom.  A side whose
-    own columns can ground to one constant tuple has a one-tuple support, so
-    grounding it and the shared columns so makes the atom hold.  Returns the
-    report when the rule decides, and the pins of the shared columns."""
+    any witness, so one that shows two values refutes the atom.  A side (of
+    those given in ``sides``) whose own columns can ground to one constant
+    tuple has a one-tuple support, so grounding it and the shared columns so
+    makes the atom hold.  Returns the report when the rule decides, and the
+    pins of the shared columns."""
     rule = {"nodes": 0, "constancy": True}
     fixed = _pins(r, oi)
     if fixed is None:
