@@ -294,7 +294,6 @@ def search_counterexample(
     cells = list(itertools.product(domain + (NULL,), repeat=width))
     null_counts = [sum(1 for v in row if v == NULL) for row in cells]
     relabellings = _relabellings(cells, domain)
-    # plain atoms are read on complete relations only
     nulls_per_row = 0 if all(a.modality == PLAIN for a in [*premises, goal]) else width
 
     for n_rows in range(1, bounds.max_rows + 1):
