@@ -160,9 +160,11 @@ class CnfFormula:
         clauses: list[tuple[int, ...]] = []
         pending: list[int] = []
         saw_header = False
-        for raw in text.splitlines():
+        for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
-            if not line or line.startswith("c") or line.startswith("%"):
+            if line.startswith("%"):  # end of the clauses in SATLIB files
+                break
+            if not line or line.startswith("c"):
                 continue
             if line.startswith("p"):
                 parts = line.split()
@@ -174,9 +176,10 @@ class CnfFormula:
             for token in line.split():
                 lit = int(token)
                 if lit == 0:
-                    if pending:
-                        clauses.append(tuple(pending))
-                        pending.clear()
+                    if not pending:
+                        raise ParseError(f"line {lineno}: empty clause")
+                    clauses.append(tuple(pending))
+                    pending.clear()
                 else:
                     pending.append(lit)
                     num_vars = max(num_vars, abs(lit))

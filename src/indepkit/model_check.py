@@ -227,11 +227,16 @@ def _oracle(r: Relation, x: Iterable[str], y: Iterable[str], want: bool) -> Chec
     verdict is ``want``, otherwise the verdict is ``not want``."""
     xi, yi, oi = _split_indices(r.schema, x, y)
     cols = xi + yi + oi
-    n = r.count_groundings(cols)
-    if n > ORACLE_BOUND:
-        raise OracleInfeasibleError(
-            f"relation has {n} groundings, above the oracle bound of {ORACLE_BOUND}"
-        )
+    # Count the groundings only until they pass the bound: p >= 2 choices per
+    # copy pass it within as many copies as the bound has bits.
+    n = 1
+    for row, c in zip(r.rows, r.counts):
+        p = math.prod(len(r.schema.domains[j]) for j in cols if row[j] is NULL)
+        n *= p ** min(c, ORACLE_BOUND.bit_length())
+        if n > ORACLE_BOUND:
+            raise OracleInfeasibleError(
+                f"the groundings of the atom's columns are above the oracle bound of {ORACLE_BOUND}"
+            )
     examined = 0
     for rows in r.grounding_assignments(cols):
         examined += 1
@@ -394,18 +399,13 @@ def pia_counting_bound(r: Relation, x: Iterable[str], y: Iterable[str]) -> bool:
 
 
 def _column_candidates(r: Relation, j: int) -> tuple[str, ...]:
-    """Values a null cell in column j may take in the search: the values
-    already occurring there plus at most one fresh domain value per null cell
-    (plain independence is invariant under renaming the unused values)."""
-    occurring: dict[str, None] = {}
-    nulls = 0
-    for row, c in zip(r.rows, r.counts):
-        if row[j] == NULL:
-            nulls += c
-        else:
-            occurring[row[j]] = None
-    fresh = [v for v in r.schema.domains[j] if v not in occurring]
-    return tuple(occurring) + tuple(fresh[:nulls])
+    """Values a null cell in column j may take in the search: the values the
+    column shows, or its first domain value when it shows none.  Unshown
+    values are never needed: plain independence is invariant under renaming
+    values, so mapping every unshown value of a witness's column to one shown
+    value keeps its non-null cells and maps a product support to a product."""
+    shown = tuple(dict.fromkeys(row[j] for row in r.rows if row[j] is not NULL))
+    return shown or r.schema.domains[j][:1]
 
 
 class _Side:
@@ -473,8 +473,8 @@ class _PiaSearch:
     leaves every other pair on a copy it may take, and popping its value
     reverses the option lists.  A state reached twice is explored twice:
     its subtree depends only on its support sets, so the second visit fails
-    as the first did.  ``result`` holds the witness rows, grounded on the
-    two sides only."""
+    as the first did.  ``result`` holds the witness rows and their counts,
+    grounded on the two sides only."""
 
     def __init__(self, r: Relation, x_cols: tuple[int, ...], y_cols: tuple[int, ...]):
         self.rows = r.rows
@@ -490,7 +490,7 @@ class _PiaSearch:
         self.open = sorted((score, i, 0) for i, score in enumerate(self.x.scores))
         self.nodes = 0
         self.augmentations = 0
-        self.result: list[list[str]] | None = None
+        self.result: tuple[list[list[str]], list[int]] | None = None
         for s, side in enumerate(self.sides):
             for value in dict.fromkeys(p for p in side.patterns if NULL not in p):
                 self._push(s, value)
@@ -583,24 +583,26 @@ class _PiaSearch:
         _, i, b = self.open[0]
         return placed, (b, self.sides[b].extensions(i))
 
-    def _build_witness(self) -> list[list[str]]:
-        """Ground each copy of row i to a pair it hosts, or to the first pair
-        it may take once the hosted pairs run out."""
+    def _build_witness(self) -> tuple[list[list[str]], list[int]]:
+        """Rows and counts of the witness: each hosted copy of row i grounds
+        to its pair as a row of its own, and the rest of row i to the first
+        pair it may take as one row."""
         x, y = self.x, self.y
         hosted: list[list[tuple[int, int]]] = [[] for _ in self.rows]
         for pair, i in zip(self.pairs, self.assignment.slot_of):
             hosted[i].append(pair)
-        grounded: list[list[str]] = []
+        rows: list[list[str]] = []
+        counts: list[int] = []
         for i, (row, count) in enumerate(zip(self.rows, self.counts)):
-            spare = (x.opts[i][0], y.opts[i][0])
-            for ku, kw in hosted[i] + [spare] * (count - len(hosted[i])):
+            rest = count - len(hosted[i])
+            others = [((x.opts[i][0], y.opts[i][0]), rest)] if rest else []
+            for (ku, kw), c in [(pair, 1) for pair in hosted[i]] + others:
                 new = list(row)
-                for j, v in zip(x.cols, x.values[ku]):
+                for j, v in zip(x.cols + y.cols, x.values[ku] + y.values[kw]):
                     new[j] = v
-                for j, v in zip(y.cols, y.values[kw]):
-                    new[j] = v
-                grounded.append(new)
-        return grounded
+                rows.append(new)
+                counts.append(c)
+        return rows, counts
 
 
 def check_pia(r: Relation, x: Iterable[str], y: Iterable[str]) -> CheckReport:
@@ -633,7 +635,7 @@ def check_pia(r: Relation, x: Iterable[str], y: Iterable[str]) -> CheckReport:
     stats = {"nodes": search.nodes, "augmentations": search.augmentations}
     if not found:
         return CheckReport(False, METHOD_PIA_SEARCH, stats=stats)
-    witness = ground(r.schema, search.result, fixed=fixed)
+    witness = ground(r.schema, *search.result, fixed=fixed)
     return CheckReport(True, METHOD_PIA_SEARCH, stats=stats, witness=witness)
 
 

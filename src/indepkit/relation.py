@@ -57,9 +57,6 @@ Cell = str | NullMarker
 
 COUNT_COLUMN = "#count"
 
-# Columns with fewer observed values are padded with synthetic names so that
-# every attribute keeps at least two non-null values plus one spare value per
-# null cell (possible-independence search needs the spares).
 _SYNTHETIC_PREFIX = "_v"
 
 
@@ -275,34 +272,23 @@ def _write_cell(value: Cell) -> str:
 
 
 def _synthetic_names(taken: set[str], how_many: int) -> list[str]:
-    names: list[str] = []
-    i = 1
-    while len(names) < how_many:
-        name = f"{_SYNTHETIC_PREFIX}{i}"
-        if name not in taken:
-            names.append(name)
-            taken.add(name)
-        i += 1
-    return names
+    """The first ``how_many`` of the names ``_v1``, ``_v2``, ... not taken."""
+    names = (f"{_SYNTHETIC_PREFIX}{i}" for i in itertools.count(1))
+    return list(itertools.islice((n for n in names if n not in taken), how_many))
 
 
 def infer_domains(
-    attributes: Sequence[str], rows: Sequence[Sequence[Cell]], counts: Sequence[int]
+    attributes: Sequence[str], rows: Sequence[Sequence[Cell]]
 ) -> dict[str, tuple[str, ...]]:
-    """Observed column values, padded to at least two non-null values plus one
-    fresh value per null cell in the column."""
+    """Observed column values, padded with synthetic names to at least two,
+    plus one spare value when the column shows a null.  The spare lets a null
+    take a value the data never shows, which is all a certain atom asks;
+    possible atoms never need one, and multiplicities play no part."""
     domains: dict[str, tuple[str, ...]] = {}
     for j, attr in enumerate(attributes):
-        observed: dict[str, None] = {}
-        null_cells = 0
-        for row, c in zip(rows, counts):
-            if row[j] == NULL:
-                null_cells += c
-            else:
-                observed[row[j]] = None
-        base = list(observed)
-        target = max(len(base), 2) + null_cells
-        base += _synthetic_names(set(base), target - len(base))
+        column = [row[j] for row in rows]
+        base = list(dict.fromkeys(v for v in column if v is not NULL))
+        base += _synthetic_names(set(base), max(2 - len(base), 0) + (NULL in column))
         domains[attr] = tuple(base)
     return domains
 
@@ -341,7 +327,7 @@ def relation_from_csv(text: str, domains: Mapping[str, Iterable[str]] | None = N
         rows.append(tuple(cells))
         counts.append(count)
     if domains is None:
-        schema = Schema.of(attributes, infer_domains(attributes, rows, counts))
+        schema = Schema.of(attributes, infer_domains(attributes, rows))
     else:
         schema = Schema.of(attributes, {a: tuple(vs) for a, vs in domains.items()})
     return Relation.from_rows(schema, rows, counts)

@@ -235,6 +235,35 @@ class TestWitnessAndCnf:
         assert lines[0] == "atom: V,P _||_p C"
         assert lines[-1] == "satisfiable"
 
+    def test_from_cnf_empty_clause_is_an_error(self, capsys, tmp_path):
+        path = tmp_path / "empty-clause.cnf"
+        path.write_text("p cnf 1 2\n1 0\n0\n")
+        code, out, err = run(capsys, "from-cnf", str(path), "--decide")
+        assert code == 2 and out == ""
+        assert "line 3: empty clause" in err
+
+    @pytest.mark.parametrize("atom", ["A,B _||_p C,D", "A _||_p C", "A,B _||_c C,D"])
+    def test_null_row_of_huge_multiplicity(self, capsys, atom):
+        # a null row of multiplicity 10^20: inference, the check and the
+        # witness all stay independent of the multiplicity
+        path = str(DATA / "null_row_1e20.csv")
+        code, out, _ = run(capsys, "check", path, atom, "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["verdict"] == ("_p" in atom)
+        if payload["verdict"]:
+            witness = relation_from_csv(payload["witness"])
+            assert witness.size == read_relation(path).size
+            goal = parse_atom(atom)
+            assert check_ia(witness, goal.lhs, goal.rhs)
+
+    def test_oracle_refuses_a_huge_multiplicity_at_once(self, capsys):
+        code, out, err = run(
+            capsys, "check", str(DATA / "null_row_1e20.csv"), "A _||_p C", "--method", "oracle",
+        )
+        assert code == 2 and out == ""
+        assert "above the oracle bound of 1048576" in err and "Traceback" not in err
+
     def test_from_cnf_files(self, capsys, tmp_path):
         base = str(tmp_path / "reduction")
         code, _, _ = run(

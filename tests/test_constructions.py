@@ -207,6 +207,15 @@ class TestCnf:
             CnfFormula.from_dimacs("p dnf 2 1\n1 0\n")
         with pytest.raises(ParseError):
             CnfFormula.from_dimacs("c only a comment\n")
+        # an empty clause makes the formula unsatisfiable; it must not vanish
+        with pytest.raises(ParseError, match="line 3: empty clause"):
+            CnfFormula.from_dimacs("p cnf 1 2\n1 0\n0\n")
+        with pytest.raises(ParseError, match="line 2: empty clause"):
+            CnfFormula.from_dimacs("p cnf 1 1\n0\n")
+
+    def test_dimacs_stops_at_the_satlib_end_marker(self):
+        phi = CnfFormula.from_dimacs("p cnf 2 1\n1 -2 0\n%\n0\n\n")
+        assert phi == CnfFormula(2, ((1, -2),))
 
 
 class TestReduction:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +25,9 @@ from indepkit import (
     FragmentError,
     parse_atom,
     pia_separating_family,
+    read_relation,
     relation_from_csv,
+    relation_to_csv,
 )
 from indepkit.model_check import ORACLE_BOUND, _PiaSearch, ground, is_certainly_constant
 from helpers import groundings, is_grounding, random_relation, random_sides, saturated_relation
@@ -74,18 +77,19 @@ def separating_family_instance():
 
 
 def revisiting_instance():
-    # one of 3 among 60,000 random relations whose search reaches a support
-    # state twice with work below it; the search explores that state both
-    # times, so a change that prunes revisits shows in its node count
+    # the one among 30,000 random relations (up to 8 rows, 35 % nulls) whose
+    # search reaches a support state twice with work below it (14 visits of
+    # 11 states); the search explores that state both times, so a change
+    # that prunes revisits shows in its node count
     return (
         rel(
             "ABCDE",
-            [("0", "1")] * 4 + [("0", "1", "2")],
-            [("0", "0", "0", NULL, "1"), (NULL, NULL, "0", "1", "0"), (NULL, "0", NULL, NULL, NULL), ("0", NULL, "1", NULL, NULL), (NULL, NULL, NULL, "0", NULL)],
-            [1, 2, 1, 1, 1],
+            [("0", "1"), ("0", "1", "2")] + [("0", "1")] * 3,
+            [("0", "2", NULL, NULL, "0"), (NULL, "1", "1", "0", "0"), ("1", NULL, NULL, "0", "0"), ("0", "1", "0", NULL, NULL), ("1", NULL, "1", NULL, "1")],
+            [2, 2, 2, 1, 1],
         ),
-        {"B", "D"},
-        {"C", "E"},
+        {"A", "B", "D", "E"},
+        {"C"},
     )
 
 
@@ -333,7 +337,7 @@ class TestPiaSearch:
         finally:
             sys.setrecursionlimit(limit)
         assert engine.result is not None and engine.nodes == 121
-        assert check_ia(ground(r.schema, engine.result), {"A", "B"}, {"C", "D"})
+        assert check_ia(ground(r.schema, *engine.result), {"A", "B"}, {"C", "D"})
 
     def test_search_on_2000_rows_visits_one_node_per_row(self):
         # rows a_i,*,0,0: the support search adds one element per row, so
@@ -349,8 +353,8 @@ class TestPiaSearch:
             (lambda: (ladder(40), {"A", "B"}, {"C", "D"}), True, 41),
             (criterion_6_instance, True, 12),
             (separating_family_instance, True, 6),
-            (revisiting_instance, False, 13),
-            (backtracking_instance, True, 6),
+            (revisiting_instance, False, 14),
+            (backtracking_instance, True, 5),
         ],
         ids=["ladder-20", "ladder-40", "criterion-6", "separating-family-3-2", "revisit", "backtrack"],
     )
@@ -365,7 +369,7 @@ class TestPiaSearch:
         report = check_pia(r, x, y)
         assert report.verdict == verdict
         if verdict:
-            assert check_ia(ground(r.schema, engine.result), x, y)
+            assert check_ia(ground(r.schema, *engine.result), x, y)
             assert check_ia(report.witness, x, y)
             assert report.witness.size == r.size
 
@@ -384,11 +388,20 @@ class TestPiaSearch:
 
     def test_agrees_with_oracle_on_random_instances(self):
         rng = random.Random(21)
-        # up to 5 rows, then a wider regime of up to 7 rows over 5 attributes
-        for cases, max_attrs, max_tuples in ((80, 4, 5), (300, 5, 7)):
+        # up to 5 rows, then a wider regime of up to 7 rows over 5 attributes,
+        # then relations re-read from CSV, whose domains are inferred
+        for cases, max_attrs, max_tuples, nulls, inferred in (
+            (80, 4, 5, 0.22, False), (300, 5, 7, 0.22, False), (300, 5, 7, 0.35, True)
+        ):
             for _ in range(cases):
-                r = random_relation(rng, max_attrs, max_tuples, grounding_cap=2**12)
+                r = random_relation(
+                    rng, max_attrs, max_tuples, null_probability=nulls, grounding_cap=2**12
+                )
+                if inferred:
+                    r = relation_from_csv(relation_to_csv(r))
                 x, y = random_sides(rng, r.schema)
+                if r.count_groundings(r.schema.indices(x | y)) > 2**12:
+                    continue
                 got = check_pia(r, x, y)
                 want = check_pia_oracle(r, x, y)
                 assert got.verdict == want.verdict, (r, x, y)
@@ -396,6 +409,33 @@ class TestPiaSearch:
                     assert check_ia(got.witness, x, y)
                     # a witness is a grounding: sizes match, non-nulls agree
                     assert got.witness.size == r.size
+
+    def test_unused_domain_values_change_nothing(self):
+        # values no cell shows are never search candidates, so appending
+        # them to every domain keeps the verdict, the tree and the witness
+        rng = random.Random(25)
+        for _ in range(400):
+            r = random_relation(rng, 5, 7, null_probability=0.35, grounding_cap=2**40)
+            domains = tuple(d + ("u", "v") for d in r.schema.domains)
+            wide = Relation.from_rows(Schema(r.schema.attributes, domains), r.rows, r.counts)
+            x, y = random_sides(rng, r.schema)
+            want, got = check_pia(r, x, y), check_pia(wide, x, y)
+            assert (got.verdict, got.method, got.stats) == (want.verdict, want.method, want.stats)
+            if want.verdict:
+                assert dict(zip(got.witness.rows, got.witness.counts)) == dict(
+                    zip(want.witness.rows, want.witness.counts)
+                )
+
+    def test_witness_of_a_huge_null_row_has_one_row_per_hosted_copy(self):
+        r = read_relation(str(Path(__file__).parent / "data" / "null_row_1e20.csv"))
+        assert r.size == 10**20 + 3
+        x, y = {"A", "B"}, {"C", "D"}
+        report = check_pia(r, x, y)
+        assert (report.verdict, report.method) == (True, "pia_search")
+        assert report.witness.size == r.size
+        # 3 x 3 support pairs, 6 of them hosted by copies of the null row
+        assert report.witness.row_count == 9
+        assert check_ia(report.witness, x, y)
 
     def test_unary_all_null_column_holds(self):
         r = rel("AB", [("0", "1")] * 2, [(NULL, "0"), (NULL, "1")])

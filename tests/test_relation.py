@@ -178,15 +178,13 @@ class TestCsv:
         assert domain["r"][0] == "white"
         # status: two observed values, no nulls -> untouched
         assert set(domain["s"]) == {"not-in-family", "in-family"}
-        # education: two observed values plus two null cells
-        assert len(domain["e"]) == 4
+        # education: two observed values plus one spare for its two nulls
+        assert len(domain["e"]) == 3
 
     def test_inference_formula(self):
-        domains = infer_domains(
-            ("A",), [(NULL,), (NULL,)], [1, 2]
-        )
-        # no observed values: pad to two, plus three null cells
-        assert len(domains["A"]) == 5
+        domains = infer_domains(("A",), [(NULL,), (NULL,)])
+        # no observed values: pad to two, plus one spare for the nulls
+        assert len(domains["A"]) == 3
 
     def test_domain_json_round_trip(self, table1):
         parsed = domains_from_json(domains_to_json(table1.schema))
