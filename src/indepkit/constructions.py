@@ -159,7 +159,7 @@ class CnfFormula:
         num_vars = 0
         clauses: list[tuple[int, ...]] = []
         pending: list[int] = []
-        saw_header = False
+        header_clauses = None
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if line.startswith("%"):  # end of the clauses in SATLIB files
@@ -168,10 +168,11 @@ class CnfFormula:
                 continue
             if line.startswith("p"):
                 parts = line.split()
-                if len(parts) < 4 or parts[1] != "cnf":
+                if len(parts) < 4 or parts[1] != "cnf" or not all(
+                    part.isdigit() for part in parts[2:4]
+                ):
                     raise ParseError(f"bad DIMACS header: {line!r}")
-                num_vars = int(parts[2])
-                saw_header = True
+                num_vars, header_clauses = int(parts[2]), int(parts[3])
                 continue
             for token in line.split():
                 lit = int(token)
@@ -185,8 +186,12 @@ class CnfFormula:
                     num_vars = max(num_vars, abs(lit))
         if pending:
             clauses.append(tuple(pending))
-        if not saw_header and not clauses:
+        if header_clauses is None and not clauses:
             raise ParseError("no DIMACS content found")
+        if header_clauses is not None and header_clauses != len(clauses):
+            raise ParseError(
+                f"DIMACS header declares {header_clauses} clauses, found {len(clauses)}"
+            )
         return cls(num_vars, tuple(clauses))
 
     def variables(self) -> tuple[int, ...]:

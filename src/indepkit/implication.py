@@ -14,7 +14,11 @@ and violates the goal.  It enumerates relations by row count, then null
 count, then lexicographically on the indices of their rows among the cells
 over the domain plus the null; absence within bounds proves nothing.  Of the
 relations that a per-column relabelling of values maps onto each other only
-the least is checked, so pruning does not change the first witness.
+the least is generated, so pruning does not change the first witness.  Being
+least is closed under prefixes (orderly generation, Read 1978), so the
+enumeration cuts a prefix that some relabelling lowers together with every
+extension of it.  Atom verdicts are cached per atom on the candidate's
+projection onto the atom's attributes, which is all a verdict depends on.
 """
 
 from __future__ import annotations
@@ -220,11 +224,27 @@ def _row_multisets(
     slots: int,
     budget: int,
     width: int,
+    relabellings: list[tuple[int, ...]],
 ) -> Iterator[tuple[int, ...]]:
     """Non-decreasing index sequences over the row alphabet whose total null
-    count is exactly the budget."""
+    count is exactly the budget and that no relabelling maps to a smaller
+    sequence, in lexicographic order.
 
-    def rec(start: int, left: int, budget_left: int, acc: list[int]):
+    A sequence s is canonical when no relabelling p gives sorted(p[s]) < s.
+    Every prefix of a canonical sequence is canonical: if sorted(p[t]) < t
+    for a prefix t of s, merging in the images of the remaining elements can
+    only lower each leading position, so sorted(p[s]) < s.  A prefix that
+    fails is therefore cut with its whole subtree, and the leaves left are
+    exactly the canonical sequences, in the same order."""
+
+    # images[i] holds the image of cell i under every relabelling, so
+    # zip(*acc_images) gives the prefix's image under each; the least of them,
+    # sorted, is below the prefix exactly when the prefix is not canonical.
+    images = list(zip(*relabellings)) or [()] * len(cells)
+    acc: list[int] = []
+    acc_images: list[tuple[int, ...]] = []
+
+    def rec(start: int, left: int, budget_left: int):
         if left == 0:
             if budget_left == 0:
                 yield tuple(acc)
@@ -236,10 +256,13 @@ def _row_multisets(
             if budget_left - n > (left - 1) * width:
                 continue
             acc.append(idx)
-            yield from rec(idx, left - 1, budget_left - n, acc)
+            acc_images.append(images[idx])
+            if not min(map(sorted, zip(*acc_images)), default=acc) < acc:
+                yield from rec(idx, left - 1, budget_left - n)
+            acc_images.pop()
             acc.pop()
 
-    yield from rec(0, slots, budget, [])
+    yield from rec(0, slots, budget)
 
 
 def _relabellings(
@@ -275,10 +298,19 @@ def search_counterexample(
     lexicographically on the sorted indices of their rows among all cells
     over the domain plus the null.  When every atom is plain, only complete
     relations are candidates, since plain implication is defined over them.
-    A candidate is skipped when a per-column relabelling of its values gives
-    a smaller index sequence.  Relabelling keeps the row and null counts and
-    every atom's verdict, so the least member of each class is kept and
-    comes first; pruning does not change which witness is returned.
+    A candidate is not generated when a per-column relabelling of its values
+    gives a smaller index sequence.  Relabelling keeps the row and null
+    counts and every atom's verdict, so the least member of each class is
+    kept and comes first; pruning does not change which witness is returned.
+    Canonicity is closed under prefixes, so ``_row_multisets`` cuts a
+    non-canonical prefix with its subtree instead of testing every leaf.
+
+    The goal is checked first, then the premises in order.  An atom's verdict
+    depends only on the candidate's projection onto the atom's attributes,
+    so each atom keeps its verdicts keyed on the sorted projected cell
+    indices, and the candidate relation is built only on a miss or when it is
+    returned.  An atom over the whole universe keeps no cache: its key would
+    be the candidate itself, which never repeats.
     """
     premises = list(sigma)
     universe = sorted(attributes_of(premises) | goal.attributes)
@@ -296,14 +328,43 @@ def search_counterexample(
     relabellings = _relabellings(cells, domain)
     nulls_per_row = 0 if all(a.modality == PLAIN for a in [*premises, goal]) else width
 
+    # Position 0 is the goal, which must fail; the premises must hold.  They
+    # are told apart by position, as a premise may equal the goal.
+    atoms = [goal, *premises]
+    projections: list[list[int] | None] = []
+    for atom in atoms:
+        cols = [j for j, a in enumerate(universe) if a in atom.attributes]
+        if len(cols) == width:
+            projections.append(None)
+            continue
+        index: dict[tuple[str, ...], int] = {}
+        projections.append([
+            index.setdefault(tuple(cell[j] for j in cols), len(index)) for cell in cells
+        ])
+    caches: list[dict[tuple[int, ...], bool]] = [{} for _ in atoms]
+
+    def relation_of(indices: tuple[int, ...]) -> Relation:
+        return Relation.from_rows(schema, [cells[i] for i in indices], validate=False)
+
     for n_rows in range(1, bounds.max_rows + 1):
         for budget in range(0, n_rows * nulls_per_row + 1):
-            for indices in _row_multisets(cells, null_counts, n_rows, budget, width):
-                if any(tuple(sorted(p[i] for i in indices)) < indices for p in relabellings):
-                    continue
-                candidate = Relation.from_rows(schema, [cells[i] for i in indices], validate=False)
-                if check_atom(candidate, goal).verdict:
-                    continue
-                if all(check_atom(candidate, a).verdict for a in premises):
-                    return candidate
+            for indices in _row_multisets(
+                cells, null_counts, n_rows, budget, width, relabellings
+            ):
+                candidate = None
+                for k, (atom, projection, cache) in enumerate(zip(atoms, projections, caches)):
+                    key = None
+                    if projection is not None:
+                        key = tuple(sorted([projection[i] for i in indices]))
+                    verdict = cache.get(key)  # None for a whole-universe atom
+                    if verdict is None:
+                        if candidate is None:
+                            candidate = relation_of(indices)
+                        verdict = check_atom(candidate, atom).verdict
+                        if key is not None:
+                            cache[key] = verdict
+                    if verdict == (k == 0):
+                        break
+                else:
+                    return relation_of(indices) if candidate is None else candidate
     return None

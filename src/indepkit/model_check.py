@@ -238,14 +238,14 @@ def _oracle(r: Relation, x: Iterable[str], y: Iterable[str], want: bool) -> Chec
                 f"the groundings of the atom's columns are above the oracle bound of {ORACLE_BOUND}"
             )
     examined = 0
-    for rows in r.grounding_assignments(cols):
+    for rows, counts in r.grounding_assignments(cols):
         examined += 1
         if _ia_on_rows(rows, xi, yi, oi) == want:
             return CheckReport(
                 want,
                 METHOD_ORACLE,
                 stats={"groundings": examined},
-                witness=ground(r.schema, rows),
+                witness=ground(r.schema, rows, counts),
             )
     return CheckReport(not want, METHOD_ORACLE, stats={"groundings": examined})
 

@@ -201,23 +201,35 @@ class Relation:
     # -- groundings -------------------------------------------------------
 
     def _null_cells(self, column_indices: Sequence[int] | None = None):
-        """Expanded copies plus the null-cell coordinates to ground.
+        """Rows to ground, their multiplicities and the null-cell coordinates.
 
-        Cells are ordered by (row, copy, attribute position), which fixes the
-        enumeration order of groundings.  ``column_indices`` restricts the
-        cells to the given columns; other nulls are left in place.
+        A row with a null in the grounded columns is expanded into one copy
+        per unit of multiplicity, each of count 1; every other row is kept
+        once with its count, so the work is linear in the expanded copies
+        only.  Cells are ordered by (row, copy, attribute position), which
+        fixes the enumeration order of groundings.  ``column_indices``
+        restricts the cells to the given columns; other nulls are left in
+        place.
         """
         allowed = None if column_indices is None else set(column_indices)
         copies: list[list[str]] = []
+        counts: list[int] = []
         cells: list[tuple[int, int]] = []
         for row, c in zip(self.rows, self.counts):
+            nulls = [
+                j for j, value in enumerate(row)
+                if value == NULL and (allowed is None or j in allowed)
+            ]
+            if not nulls:
+                copies.append(list(row))
+                counts.append(c)
+                continue
             for _ in range(c):
                 k = len(copies)
                 copies.append(list(row))
-                for j, value in enumerate(row):
-                    if value == NULL and (allowed is None or j in allowed):
-                        cells.append((k, j))
-        return copies, cells
+                counts.append(1)
+                cells.extend((k, j) for j in nulls)
+        return copies, tuple(counts), cells
 
     def count_groundings(self, column_indices: Sequence[int] | None = None) -> int:
         """Product of |Dom(A)| over every null cell of every tuple copy,
@@ -231,19 +243,20 @@ class Relation:
 
     def grounding_assignments(
         self, column_indices: Sequence[int] | None = None
-    ) -> Iterator[list[tuple[Cell, ...]]]:
-        """Yield grounded copies (one list of rows per assignment of the null
-        cells in the selected columns).  Rows are plain tuples and may
-        repeat."""
-        copies, cells = self._null_cells(column_indices)
+    ) -> Iterator[tuple[list[tuple[Cell, ...]], tuple[int, ...]]]:
+        """Yield ``(rows, counts)`` per assignment of the null cells in the
+        selected columns.  Each copy of a row with such a null is its own row
+        of count 1; other rows appear once with their multiplicity.  Rows are
+        plain tuples and may repeat."""
+        copies, counts, cells = self._null_cells(column_indices)
         if not cells:
-            yield [tuple(r) for r in copies]
+            yield [tuple(r) for r in copies], counts
             return
         choice_lists = [self.schema.domains[j] for _, j in cells]
         for assignment in itertools.product(*choice_lists):
             for (k, j), value in zip(cells, assignment):
                 copies[k][j] = value
-            yield [tuple(r) for r in copies]
+            yield [tuple(r) for r in copies], counts
 
 
 # -- CSV and JSON interchange ---------------------------------------------

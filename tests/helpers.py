@@ -27,8 +27,8 @@ def groundings(r: Relation) -> list[Relation]:
     """Every grounding of the relation, in the order of
     ``Relation.grounding_assignments``."""
     return [
-        Relation.from_rows(r.schema, rows, validate=False)
-        for rows in r.grounding_assignments()
+        Relation.from_rows(r.schema, rows, counts, validate=False)
+        for rows, counts in r.grounding_assignments()
     ]
 
 

@@ -264,6 +264,29 @@ class TestWitnessAndCnf:
         assert code == 2 and out == ""
         assert "above the oracle bound of 1048576" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("count", [200_000, 10**20])
+    @pytest.mark.parametrize("atom, verdict", [("A _||_p B", True), ("A _||_c B", False)])
+    def test_oracle_keeps_a_huge_complete_row_whole(self, capsys, tmp_path, count, atom, verdict):
+        # only copies of rows with a null in the atom's columns are expanded,
+        # so a complete row of any multiplicity costs the oracle one row
+        path = tmp_path / "complete-row.csv"
+        path.write_text(f"A,B,#count\n0,0,{count}\n*,1,1\n")
+        code, out, _ = run(capsys, "check", str(path), atom, "--method", "oracle", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["verdict"] is verdict
+        assert payload["stats"]["groundings"] == (1 if verdict else 2)
+        witness = relation_from_csv(payload["witness"])
+        assert witness.size == count + 1
+        assert dict(zip(witness.rows, witness.counts))[("0", "0")] == count
+
+    def test_from_cnf_clause_count_must_match_the_header(self, capsys, tmp_path):
+        path = tmp_path / "short.cnf"
+        path.write_text("p cnf 2 3\n1 -2 0\n")
+        code, out, err = run(capsys, "from-cnf", str(path), "--decide")
+        assert code == 2 and out == ""
+        assert "header declares 3 clauses, found 1" in err and "Traceback" not in err
+
     def test_from_cnf_files(self, capsys, tmp_path):
         base = str(tmp_path / "reduction")
         code, _, _ = run(

@@ -213,6 +213,21 @@ class TestCnf:
         with pytest.raises(ParseError, match="line 2: empty clause"):
             CnfFormula.from_dimacs("p cnf 1 1\n0\n")
 
+    @pytest.mark.parametrize("text, found", [
+        ("p cnf 2 3\n1 -2 0\n", 1),
+        ("p cnf 2 1\n1 0\n-2 0\n", 2),
+        ("p cnf 2 2\n1 -2\n", 1),  # a last clause without its 0 still counts
+        ("p cnf 2 0\n1 0\n", 1),
+    ])
+    def test_dimacs_clause_count_must_match_the_header(self, text, found):
+        declared = text.split()[3]
+        with pytest.raises(ParseError, match=f"declares {declared} clauses, found {found}"):
+            CnfFormula.from_dimacs(text)
+
+    def test_dimacs_header_counts_must_be_numbers(self):
+        with pytest.raises(ParseError, match="bad DIMACS header"):
+            CnfFormula.from_dimacs("p cnf 2 x\n1 0\n")
+
     def test_dimacs_stops_at_the_satlib_end_marker(self):
         phi = CnfFormula.from_dimacs("p cnf 2 1\n1 -2 0\n%\n0\n\n")
         assert phi == CnfFormula(2, ((1, -2),))

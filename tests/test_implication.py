@@ -411,6 +411,88 @@ class TestIsomorphPruning:
         assert sum(w is not None for w in pruned) >= 50
 
 
+class TestOrderlyGeneration:
+    @pytest.mark.parametrize("width, domain_size", [(3, 2), (2, 3)])
+    def test_pruned_enumeration_is_the_leaf_filtered_one(self, width, domain_size):
+        domain = tuple(str(i) for i in range(domain_size))
+        cells = list(itertools.product(domain + (NULL,), repeat=width))
+        null_counts = [sum(v == NULL for v in cell) for cell in cells]
+        perms = implication._relabellings(cells, domain)
+        assert perms
+        kept = dropped = 0
+        for budget in range(3 * width + 1):
+            every = list(implication._row_multisets(cells, null_counts, 3, budget, width, []))
+            least = [s for s in every if not any(tuple(sorted(p[i] for i in s)) < s for p in perms)]
+            pruned = list(implication._row_multisets(cells, null_counts, 3, budget, width, perms))
+            assert pruned == least
+            kept += len(least)
+            dropped += len(every) - len(least)
+        assert kept and dropped > kept
+
+    def test_one_check_per_atom_and_projection(self, monkeypatch):
+        # an exhaustive search (the goal is implied) checks each atom once per
+        # distinct projection of the candidates onto the atom's attributes
+        sigma = atoms("A _||_c B,C", "C _||_c D")
+        goal = parse_atom("A _||_c B")
+        seen = []
+        real = implication.check_atom
+
+        def counting(r, atom, *args, **kwargs):
+            p = r.project(sorted(atom.attributes))
+            seen.append((atom, frozenset(zip(p.rows, p.counts))))
+            return real(r, atom, *args, **kwargs)
+
+        candidates = 0
+        real_multisets = implication._row_multisets
+
+        def counting_multisets(*args):
+            nonlocal candidates
+            for indices in real_multisets(*args):
+                candidates += 1
+                yield indices
+
+        monkeypatch.setattr(implication, "check_atom", counting)
+        monkeypatch.setattr(implication, "_row_multisets", counting_multisets)
+        assert search_counterexample(sigma, goal, SearchBounds(4, 3, 2)) is None
+        assert len(set(seen)) == len(seen)
+        # the goal fails on some candidates, so the first premise is reached
+        assert {atom for atom, _ in seen} == {goal, sigma[0]}
+        assert len(seen) < candidates / 10
+
+    def test_first_witness_matches_the_unpruned_search_at_four_rows(self, monkeypatch):
+        rng = random.Random(20261019)
+
+        def draw(universe, modalities):
+            lhs = rhs = frozenset()
+            while not lhs or not rhs:
+                lhs = frozenset(a for a in universe if rng.random() < 0.45)
+                rhs = frozenset(a for a in universe if rng.random() < 0.45)
+            return Atom(lhs, rhs, rng.choice(modalities))
+
+        cases = []
+        for i in range(24):
+            width, domain_size = ((2, 2), (2, 3), (3, 2))[i % 3]
+            universe = "ABC"[:width]
+            mods = rng.choice(((PLAIN,), (POSSIBLE,), (CERTAIN,), (POSSIBLE, CERTAIN)))
+            premises = [draw(universe, mods) for _ in range(rng.randint(1, 3))]
+            cases.append((premises, draw(universe, mods), SearchBounds(width, 4, domain_size)))
+        # the exchange failures need all four rows
+        for premises, goal in [
+            (atoms("A _||_ C", "B _||_ C"), "A,B _||_ C"),
+            (atoms("A _||_c C", "B _||_c C"), "A,B _||_c C"),
+        ]:
+            cases.append((premises, parse_atom(goal), SearchBounds(3, 4, 2)))
+        pruned = [search_counterexample(*case) for case in cases]
+        monkeypatch.setattr(implication, "_relabellings", lambda cells, domain: [])
+        for case, witness in zip(cases, pruned):
+            again = search_counterexample(*case)
+            assert again == witness
+            if witness is not None:
+                assert (again.rows, again.counts) == (witness.rows, witness.counts)
+        assert sum(w is not None for w in pruned) >= 6
+        assert [w.row_count for w in pruned[-2:]] == [4, 4]
+
+
 REGRESSION_CORPUS = [
     # (premises, goal, implied)
     (("A _||_ B", "A,B _||_ C"), "A _||_ B,C", True),
