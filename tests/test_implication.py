@@ -362,6 +362,27 @@ class TestSearchCounterexample:
             search_counterexample(sigma, parse_atom("A _||_c D"), SearchBounds(max_attributes=4))
 
 
+def random_search_cases(rng, shapes, n, max_rows):
+    """n random (premises, goal, bounds) queries over the first w of A, B, C,
+    cycling through the (w, domain size) shapes; one modality set each."""
+
+    def draw(universe, modalities):
+        lhs = rhs = frozenset()
+        while not lhs or not rhs:
+            lhs = frozenset(a for a in universe if rng.random() < 0.45)
+            rhs = frozenset(a for a in universe if rng.random() < 0.45)
+        return Atom(lhs, rhs, rng.choice(modalities))
+
+    cases = []
+    for i in range(n):
+        width, domain_size = shapes[i % len(shapes)]
+        universe = "ABC"[:width]
+        mods = rng.choice(((PLAIN,), (POSSIBLE,), (CERTAIN,), (POSSIBLE, CERTAIN)))
+        premises = [draw(universe, mods) for _ in range(rng.randint(1, 3))]
+        cases.append((premises, draw(universe, mods), SearchBounds(width, max_rows, domain_size)))
+    return cases
+
+
 class TestIsomorphPruning:
     @pytest.mark.parametrize("width, domain_size", [(1, 2), (3, 2), (5, 2), (2, 3)])
     def test_relabellings_permute_cells(self, width, domain_size):
@@ -382,22 +403,7 @@ class TestIsomorphPruning:
         assert implication._relabellings(cells, domain) == []
 
     def test_pruning_keeps_the_first_witness(self, monkeypatch):
-        rng = random.Random(20261018)
-
-        def draw(universe, modalities):
-            lhs = rhs = frozenset()
-            while not lhs or not rhs:
-                lhs = frozenset(a for a in universe if rng.random() < 0.45)
-                rhs = frozenset(a for a in universe if rng.random() < 0.45)
-            return Atom(lhs, rhs, rng.choice(modalities))
-
-        cases = []
-        for i in range(200):
-            width, domain_size = ((3, 2), (2, 3))[i % 2]
-            universe = "ABC"[:width]
-            mods = rng.choice(((PLAIN,), (POSSIBLE,), (CERTAIN,), (POSSIBLE, CERTAIN)))
-            premises = [draw(universe, mods) for _ in range(rng.randint(1, 3))]
-            cases.append((premises, draw(universe, mods), SearchBounds(width, 3, domain_size)))
+        cases = random_search_cases(random.Random(20261018), ((3, 2), (2, 3)), 200, 3)
         pruned = [search_counterexample(*case) for case in cases]
         monkeypatch.setattr(implication, "_relabellings", lambda cells, domain: [])
         for case, witness in zip(cases, pruned):
@@ -460,22 +466,7 @@ class TestOrderlyGeneration:
         assert len(seen) < candidates / 10
 
     def test_first_witness_matches_the_unpruned_search_at_four_rows(self, monkeypatch):
-        rng = random.Random(20261019)
-
-        def draw(universe, modalities):
-            lhs = rhs = frozenset()
-            while not lhs or not rhs:
-                lhs = frozenset(a for a in universe if rng.random() < 0.45)
-                rhs = frozenset(a for a in universe if rng.random() < 0.45)
-            return Atom(lhs, rhs, rng.choice(modalities))
-
-        cases = []
-        for i in range(24):
-            width, domain_size = ((2, 2), (2, 3), (3, 2))[i % 3]
-            universe = "ABC"[:width]
-            mods = rng.choice(((PLAIN,), (POSSIBLE,), (CERTAIN,), (POSSIBLE, CERTAIN)))
-            premises = [draw(universe, mods) for _ in range(rng.randint(1, 3))]
-            cases.append((premises, draw(universe, mods), SearchBounds(width, 4, domain_size)))
+        cases = random_search_cases(random.Random(20261019), ((2, 2), (2, 3), (3, 2)), 24, 4)
         # the exchange failures need all four rows
         for premises, goal in [
             (atoms("A _||_ C", "B _||_ C"), "A,B _||_ C"),
