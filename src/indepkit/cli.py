@@ -80,10 +80,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
     lines = [f"{shown}: {verdict}  [method {report.method}]"]
     for key, value in report.stats.items():
         lines.append(f"  {key}: {value}")
-    if report.witness is not None:
-        lines.append("witness:")
-        lines.extend("  " + l for l in relation_to_csv(report.witness).splitlines())
     payload = {"atom": render_atom(atom, relation.schema), **report.to_json_dict()}
+    if payload["witness"] is not None:
+        lines.append("witness:")
+        lines.extend("  " + l for l in payload["witness"].splitlines())
     _emit(args.json, lines, payload)
     if args.exit_status:
         return EXIT_OK if report.verdict else EXIT_FAILS

@@ -6,7 +6,8 @@ modality-stripped atoms.  For possible atoms the polynomial containment
 procedure decides goals with a singleton side or near-equal side sizes, and
 for disjoint mixed sets a certain goal depends only on the certain premises.
 Everything outside these fragments is answered as derivability only (sound,
-not complete).  ``implies`` picks the decider for a query's fragment and
+not complete); for possible-only sets that is the containment procedure,
+which gives derivability in I_p without saturation.  ``implies`` picks the decider for a query's fragment and
 labels the answer.
 
 ``search_counterexample`` hunts for a relation that satisfies every premise
@@ -44,12 +45,7 @@ from .atoms import (
 from .errors import FragmentError, SearchBoundsError
 from .model_check import check_atom
 from .relation import NULL, Relation, Schema
-from .rules import (
-    SYSTEM_DISJOINT_MIXED,
-    SYSTEM_FULL,
-    SYSTEM_I_P,
-    derives,
-)
+from .rules import SYSTEM_DISJOINT_MIXED, SYSTEM_FULL, derives
 
 
 def constants_of(atoms: Iterable[Atom]) -> frozenset[str]:
@@ -116,8 +112,7 @@ def implies_cia(sigma: Iterable[Atom], goal: Atom) -> bool:
 
 def implies_pia_star(sigma: Iterable[Atom], goal: Atom) -> bool:
     """Implication among possible atoms for goals with a singleton side or
-    side sizes within one: drop the constant attributes from the goal and
-    look for a premise containing what is left of each side."""
+    side sizes within one, decided by the containment test."""
     premises = list(sigma)
     check_same_modality(premises, POSSIBLE, "implies_pia_star")
     check_same_modality([goal], POSSIBLE, "implies_pia_star")
@@ -126,6 +121,15 @@ def implies_pia_star(sigma: Iterable[Atom], goal: Atom) -> bool:
             f"goal {render_atom(goal)!r} is outside the decidable possible "
             "fragment; use derives() for a sound-only answer"
         )
+    return _contained(premises, goal)
+
+
+def _contained(premises: list[Atom], goal: Atom) -> bool:
+    """The containment test of possible implication: with the constant
+    attributes dropped from the goal, a side is empty or some premise holds
+    both sides.  It decides pia-star goals; on the others it is derivability
+    in I_p, whose rules only restrict or swap a premise's sides and add
+    constant attributes to a side."""
     constants = constants_of(premises)
     xs = goal.lhs - constants
     ys = goal.rhs - constants
@@ -195,8 +199,7 @@ def implies(sigma: Iterable[Atom], goal: Atom, sound_only: bool = False) -> Impl
             "fragments; set sound_only (CLI: --sound-only) for a derivability answer"
         )
     if modalities == {POSSIBLE}:
-        verdict = derives(premises, goal, SYSTEM_I_P) is not None
-        return ImplicationReport(verdict, "sound-only", "derivability-I_p")
+        return ImplicationReport(_contained(premises, goal), "sound-only", "derivability-I_p")
     if disjoint:
         verdict = implies_mixed_disjoint(premises, goal)
         return ImplicationReport(verdict, "sound-only", "derivability-disjoint-mixed")

@@ -9,10 +9,11 @@ exact fast path:
   can take; a null in a column with an unused domain value refutes at once;
 * a possible atom fails when a shared column shows two values and holds when
   a side's own columns can ground to a constant (the constancy rule);
-* unary possible atoms become an assignment question: every cell of the
-  product of the non-null column values that no complete tuple covers takes
-  one copy from a null pool ``(a, *)``, ``(*, b)`` or ``(*, *)``;
-* general possible atoms run a depth-first search over candidate support
+* a possible atom whose sides, less their shared columns, are single
+  columns a and b becomes an assignment question: every cell of the product
+  of the non-null column values that no complete tuple covers takes one
+  copy from a null pool ``(a, *)``, ``(*, b)`` or ``(*, *)``;
+* other possible atoms run a depth-first search over candidate support
   sets, pruned by a counting bound and by assigning support pairs to tuple
   copies.  The search keeps its state across nodes: each row's matching
   support values, the rows still to cover, and the assignment.  A node adds
@@ -21,7 +22,9 @@ exact fast path:
   remaining pair still sits on a copy it may take.
 
 Both assignments run on the one kernel in ``indepkit.flow``, and every
-witness is finished by ``ground``, which fills the nulls left over.
+witness is finished by ``ground``, which fills the nulls left over.  Each
+checker resolves its atom's attributes to column positions once; the steps
+below it take positions.
 """
 
 from __future__ import annotations
@@ -117,12 +120,12 @@ def check_ia(r: Relation, x: Iterable[str], y: Iterable[str]) -> bool:
     return _ia_on_rows(r.rows, xi, yi, oi)
 
 
-def is_certainly_constant(r: Relation, x: Iterable[str]) -> bool:
-    """Does every grounding make the x-columns a single constant tuple?
-    Relations with at most one row and empty x qualify trivially."""
+def is_certainly_constant(r: Relation, cols: Iterable[int]) -> bool:
+    """Does every grounding make the given columns a single constant tuple?
+    Relations with at most one row and no columns qualify trivially."""
     if r.size <= 1:
         return True
-    for j in r.schema.indices(x):
+    for j in cols:
         first = r.rows[0][j]
         if first is NULL or any(row[j] != first for row in r.rows):
             return False
@@ -157,13 +160,11 @@ def check_cia_fast(r: Relation, x: Iterable[str], y: Iterable[str]) -> bool:
     an X'- or Y'-value outside FX or FY (the usual exit with inferred
     domains), then F = FX × FY with AX ⊆ FX and AY ⊆ FY.
     """
-    xset, yset = frozenset(x), frozenset(y)
-    if not is_certainly_constant(r, xset & yset):
+    xi, yi, oi = _split_indices(r.schema, x, y)
+    if not is_certainly_constant(r, oi):
         return False
-    xo, yo = xset - yset, yset - xset
-    if is_certainly_constant(r, xo) or is_certainly_constant(r, yo):  # also when empty
+    if is_certainly_constant(r, xi) or is_certainly_constant(r, yi):  # also when empty
         return True
-    xi, yi = r.schema.indices(xo), r.schema.indices(yo)
     patterns = set(map(itemgetter(*xi, *yi), r.rows))  # two or more columns: tuples
     domains = [r.schema.domains[j] for j in xi + yi]
     for k, dom in enumerate(domains):
@@ -310,16 +311,16 @@ class ProductNetwork(FlowNetwork):
     b_values: tuple[str, ...]
 
 
-def build_flow_network(r: Relation, a: str, b: str) -> ProductNetwork:
-    """Assignment network for a unary possible atom.  The items are the cells
-    of the product of the non-null values of a and b that no complete tuple
-    covers; the slots are the null pools ``(va, *)``, ``(*, vb)`` and
-    ``(*, *)``, each holding its tuple copies.  A cell may take a copy from
-    its row pool, its column pool or the wildcard pool.  One pass over the
-    rows collects the value pairs, and with them each column's values."""
-    if a == b:
-        raise ValueError("two distinct attributes are required")
-    ia, ib = r.schema.index(a), r.schema.index(b)
+def build_flow_network(r: Relation, ia: int, ib: int) -> ProductNetwork:
+    """Assignment network for a unary possible atom on columns ia and ib.
+    The items are the cells of the product of the non-null values of the two
+    columns that no complete tuple covers; the slots are the null pools
+    ``(va, *)``, ``(*, vb)`` and ``(*, *)``, each holding its tuple copies.
+    A cell may take a copy from its row pool, its column pool or the
+    wildcard pool.  One pass over the rows collects the value pairs, and
+    with them each column's values."""
+    if ia == ib:
+        raise ValueError("two distinct columns are required")
     pairs: dict[tuple, int] = {}
     for row, count in zip(r.rows, r.counts):
         key = (row[ia], row[ib])
@@ -328,7 +329,8 @@ def build_flow_network(r: Relation, a: str, b: str) -> ProductNetwork:
     avals = tuple(dict.fromkeys(va for va, _ in pairs if va is not NULL))
     bvals = tuple(dict.fromkeys(vb for _, vb in pairs if vb is not NULL))
     if not avals or not bvals:
-        raise ValueError(f"column {a if not avals else b!r} has no non-null value")
+        empty = r.schema.attributes[ib if avals else ia]
+        raise ValueError(f"column {empty!r} has no non-null value")
     pools = {key: n for key, n in pairs.items() if key[0] is NULL or key[1] is NULL}
     slot_index = {key: s for s, key in enumerate(pools)}
     cells = [(va, vb) for va in avals for vb in bvals if (va, vb) not in pairs]
@@ -342,17 +344,13 @@ def build_flow_network(r: Relation, a: str, b: str) -> ProductNetwork:
     )
 
 
-def check_pia_unary(r: Relation, a: str, b: str) -> CheckReport:
-    """Possible independence of two single attributes, decided in polynomial
-    time: after the constancy rule, the atom holds exactly when every product
-    cell of the non-null column values that no complete tuple covers takes a
-    distinct copy from a null pool able to ground to it."""
-    xi, yi, oi = _split_indices(r.schema, {a}, {b})
-    decided, _ = _by_constancy(r, (xi, yi), oi)
-    if decided is not None:
-        return decided
-    ia, ib = r.schema.index(a), r.schema.index(b)
-    network = build_flow_network(r, a, b)
+def _pooled_assignment(r: Relation, ia: int, ib: int, fixed: dict[int, str]) -> CheckReport:
+    """A core of two single columns that the constancy rule left open holds
+    exactly when every product cell of their non-null values that no
+    complete tuple covers takes a distinct copy from a null pool able to
+    ground to it.  The network reads only the two columns, so the pins of
+    the shared columns go to the witness alone."""
+    network = build_flow_network(r, ia, ib)
     avals, bvals = network.a_values, network.b_values
     assignment = max_flow_assignment(network)
     stats = {"target": len(avals) * len(bvals), "missing": len(network.items)}
@@ -377,8 +375,14 @@ def check_pia_unary(r: Relation, a: str, b: str) -> CheckReport:
         if count:
             rows.append(row)
             counts.append(count)
-    witness = ground(r.schema, rows, counts, {ia: avals[0], ib: bvals[0]})
+    witness = ground(r.schema, rows, counts, {**fixed, ia: avals[0], ib: bvals[0]})
     return CheckReport(True, METHOD_PIA_FLOW, stats=stats, witness=witness)
+
+
+def check_pia_unary(r: Relation, a: str, b: str) -> CheckReport:
+    """Possible independence of two single attributes, decided in polynomial
+    time by ``check_pia``: the constancy rule, then the pooled assignment."""
+    return check_pia(r, {a}, {b})
 
 
 # -- general possible atoms: support-set search ------------------------------
@@ -388,11 +392,13 @@ def pia_counting_bound(r: Relation, x: Iterable[str], y: Iterable[str]) -> bool:
     """Cheap refutation for disjoint sides: the complete tuples already fixed
     on each side force a cross product larger than the relation.  ``False``
     refutes the possible atom; ``True`` is no conclusion."""
-    xset, yset = frozenset(x), frozenset(y)
-    if xset & yset:
+    xi, yi, oi = _split_indices(r.schema, x, y)
+    if oi:
         raise FragmentError("the counting bound requires disjoint sides")
-    xi = r.schema.indices(xset)
-    yi = r.schema.indices(yset)
+    return _counting_bound(r, xi, yi)
+
+
+def _counting_bound(r: Relation, xi: tuple[int, ...], yi: tuple[int, ...]) -> bool:
     nx = len({t for t in (tuple(row[j] for j in xi) for row in r.rows) if NULL not in t})
     ny = len({t for t in (tuple(row[j] for j in yi) for row in r.rows) if NULL not in t})
     return nx * ny <= r.size
@@ -607,27 +613,17 @@ class _PiaSearch:
 
 def check_pia(r: Relation, x: Iterable[str], y: Iterable[str]) -> CheckReport:
     """Exact decision of a possible atom.  The constancy rule answers first.
-    Otherwise the shared columns are pinned, which touches no column of the
-    disjoint core: a core of two single attributes takes the pooled
-    assignment, which applies the rule to its sides itself, and any other
-    core the counting bound and the support search."""
+    Otherwise the shared columns are pinned in the witness, which touches no
+    column of the disjoint core: a core of two single columns takes the
+    pooled assignment, and any other core the counting bound and the support
+    search."""
     xi, yi, oi = _split_indices(r.schema, x, y)
-    unary = len(xi) == len(yi) == 1
-    decided, fixed = _by_constancy(r, () if unary else (xi, yi), oi)
+    decided, fixed = _by_constancy(r, (xi, yi), oi)
     if decided is not None:
         return decided
-
-    x_attrs = tuple(r.schema.attributes[j] for j in xi)
-    y_attrs = tuple(r.schema.attributes[j] for j in yi)
-    if unary:
-        if fixed:
-            rows = [
-                tuple(fixed.get(j, v) if v is NULL else v for j, v in enumerate(row))
-                for row in r.rows
-            ]
-            r = Relation.from_rows(r.schema, rows, r.counts, validate=False)
-        return check_pia_unary(r, *x_attrs, *y_attrs)
-    if not pia_counting_bound(r, x_attrs, y_attrs):
+    if len(xi) == len(yi) == 1:
+        return _pooled_assignment(r, xi[0], yi[0], fixed)
+    if not _counting_bound(r, xi, yi):
         return CheckReport(False, METHOD_PIA_SEARCH, stats={"nodes": 0, "counting_bound": True})
 
     search = _PiaSearch(r, xi, yi)

@@ -107,8 +107,7 @@ class Schema:
 
     def indices(self, attributes: Iterable[str]) -> tuple[int, ...]:
         """Positions of the given attributes, in schema order."""
-        wanted = {self.index(a) for a in attributes}
-        return tuple(i for i in range(len(self.attributes)) if i in wanted)
+        return tuple(sorted({self.index(a) for a in attributes}))
 
 
 @dataclass(frozen=True, eq=False)

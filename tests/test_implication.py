@@ -171,17 +171,35 @@ class TestImpliesPiaStar:
             implies_pia_star([], goal)
 
     def test_matches_possible_closure(self):
+        # pia-star goals through implies_pia_star, the others through the
+        # sound-only route of implies, which must give I_p derivability
         rng = random.Random(52)
         universe = ("A", "B", "C", "D", "E")
-        checked = 0
-        while checked < 60:
+        checked = {True: 0, False: 0}
+        while min(checked.values()) < 60:
             sigma = random_atom_set(rng, universe, (POSSIBLE,))
             goal = random_atom_set(rng, universe, (POSSIBLE,), max_atoms=1)[0]
-            if not is_pia_star(goal):
-                continue
-            checked += 1
+            star = is_pia_star(goal)
+            checked[star] += 1
             expected = goal in closure(sigma, SYSTEM_I_P, universe)
-            assert implies_pia_star(sigma, goal) == expected, (sigma, goal)
+            if star:
+                assert implies_pia_star(sigma, goal) == expected, (sigma, goal)
+            else:
+                report = implies(sigma, goal, sound_only=True)
+                assert (report.verdict, report.route) == (expected, "derivability-I_p"), (
+                    sigma, goal,
+                )
+
+    def test_sound_only_goal_beyond_the_saturation_limit(self):
+        # 13 attributes: saturation refuses them, the containment test does not
+        sigma = atoms("A,B,C,D,E,F _||_p G,H,I,J,K,L,M", "A,G _||_p A")
+        for goal, verdict in (("A,B,C _||_p H,I,J,K,L", True), ("A,B,H _||_p C,D,I,J,K", False)):
+            goal = parse_atom(goal)
+            assert not is_pia_star(goal)
+            report = implies(sigma, goal, sound_only=True)
+            assert (report.verdict, report.completeness, report.route) == (
+                verdict, "sound-only", "derivability-I_p",
+            )
 
 
 class TestConstants:
