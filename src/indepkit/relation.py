@@ -10,6 +10,14 @@ domain.
 Rows are stored positionally: a tuple of cell strings aligned with
 ``Schema.attributes``.  Multiplicities are kept explicitly on distinct rows
 (canonical multiset form); duplicate rows merge on construction.
+
+CSV files are read in one pass: each record is checked for its width and
+multiplicity and merged into the distinct rows as it is read, and each
+distinct raw cell string is converted once per file.  Domain checks then run
+per column over the distinct rows, one set difference each; only when one
+fails is the relation scanned row by row, so the error names the first bad
+cell in row order.  Inferred domains need no check, as they are taken from
+the data.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Container, Iterable, Iterator, Mapping, Sequence
 
 from .errors import ParseError, SchemaError
 
@@ -110,6 +118,40 @@ class Schema:
         return tuple(sorted({self.index(a) for a in attributes}))
 
 
+_NULL_ONLY = (NULL,)
+
+
+def _fits(schema: Schema, rows: Collection[tuple[Cell, ...]]) -> bool:
+    """Does every row have the schema's width and every cell lie in its
+    column's domain or be null?  One set difference per column."""
+    width = len(schema.attributes)
+    return all(map(width.__eq__, map(len, rows))) and not any(
+        set(column).difference(dom, _NULL_ONLY)
+        for dom, column in zip(schema.domains, zip(*rows))
+    )
+
+
+def _raise_first_invalid(
+    schema: Schema, rows: Sequence[tuple[Cell, ...]], counts: Sequence[int]
+) -> None:
+    """Raise ``SchemaError`` for the first row, in order, of the wrong width
+    or with a cell outside its domain; failing that, for the first bad
+    multiplicity."""
+    width = len(schema.attributes)
+    domain_sets = [set(d) for d in schema.domains]
+    for row in rows:
+        if len(row) != width:
+            raise SchemaError(
+                f"row width {len(row)} does not match schema width {width}"
+            )
+        for value, dom, attr in zip(row, domain_sets, schema.attributes):
+            if value != NULL and value not in dom:
+                raise SchemaError(f"value {value!r} not in the domain of {attr!r}")
+    for c in counts:
+        if not isinstance(c, int) or c < 1:
+            raise SchemaError(f"multiplicity must be a positive integer, got {c!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class Relation:
     """A finite multiset of rows over a schema.
@@ -136,25 +178,15 @@ class Relation:
         count_list = list(counts) if counts is not None else [1] * len(row_list)
         if len(row_list) != len(count_list):
             raise SchemaError("one multiplicity required per row")
-        if validate:
-            width = len(schema.attributes)
-            domain_sets = [set(d) for d in schema.domains]
-            for row in row_list:
-                if len(row) != width:
-                    raise SchemaError(
-                        f"row width {len(row)} does not match schema width {width}"
-                    )
-                for value, dom, attr in zip(row, domain_sets, schema.attributes):
-                    if value != NULL and value not in dom:
-                        raise SchemaError(
-                            f"value {value!r} not in the domain of {attr!r}"
-                        )
+        if validate and counts is not None:
             for c in count_list:
                 if not isinstance(c, int) or c < 1:
-                    raise SchemaError(f"multiplicity must be a positive integer, got {c!r}")
+                    _raise_first_invalid(schema, row_list, count_list)
         merged: dict[tuple[Cell, ...], int] = {}
         for row, c in zip(row_list, count_list):
             merged[row] = merged.get(row, 0) + c
+        if validate and not _fits(schema, merged):
+            _raise_first_invalid(schema, row_list, count_list)
         return cls(schema, tuple(merged), tuple(merged.values()))
 
     def __eq__(self, other: object) -> bool:
@@ -283,10 +315,20 @@ def _write_cell(value: Cell) -> str:
     return value
 
 
-def _synthetic_names(taken: set[str], how_many: int) -> list[str]:
+def _synthetic_names(taken: Container[str], how_many: int) -> list[str]:
     """The first ``how_many`` of the names ``_v1``, ``_v2``, ... not taken."""
     names = (f"{_SYNTHETIC_PREFIX}{i}" for i in itertools.count(1))
     return list(itertools.islice((n for n in names if n not in taken), how_many))
+
+
+class _CellMemo(dict):
+    """Raw CSV cell string -> cell, converting each distinct string once."""
+
+    __slots__ = ()
+
+    def __missing__(self, raw: str) -> Cell:
+        cell = self[raw] = _read_cell(raw)
+        return cell
 
 
 def infer_domains(
@@ -296,56 +338,83 @@ def infer_domains(
     plus one spare value when the column shows a null.  The spare lets a null
     take a value the data never shows, which is all a certain atom asks;
     possible atoms never need one, and multiplicities play no part."""
+    columns = zip(*rows) if rows else itertools.repeat(())
     domains: dict[str, tuple[str, ...]] = {}
-    for j, attr in enumerate(attributes):
-        column = [row[j] for row in rows]
-        base = list(dict.fromkeys(v for v in column if v is not NULL))
-        base += _synthetic_names(set(base), max(2 - len(base), 0) + (NULL in column))
+    for attr, column in zip(attributes, columns):
+        seen = dict.fromkeys(column)
+        has_null = NULL in seen
+        if has_null:
+            del seen[NULL]
+        base = list(seen)
+        base += _synthetic_names(seen, max(2 - len(base), 0) + has_null)
         domains[attr] = tuple(base)
     return domains
+
+
+def _read_records(
+    reader, width: int, with_counts: bool
+) -> dict[tuple[Cell, ...], int]:
+    """The distinct rows of the records after the header, each with its
+    summed multiplicity, in first-seen order.  Blank records are skipped."""
+    read = _CellMemo().__getitem__
+    n = width - with_counts
+    blank = ("",) * n  # a record of blank cells reads as this row
+    merged: dict[tuple[Cell, ...], int] = {}
+    for record in reader:
+        if len(record) != width:
+            if any(cell.strip() for cell in record):
+                raise ParseError(
+                    f"line {reader.line_num}: expected {width} cells, got {len(record)}"
+                )
+            continue
+        if not with_counts:
+            row = tuple(map(read, record))
+            if row != blank:
+                merged[row] = merged.get(row, 0) + 1
+            continue
+        row = tuple(map(read, record[:n]))
+        raw = record[n].strip()
+        if not raw and row == blank:
+            continue
+        try:
+            count = int(raw)
+        except ValueError:
+            raise ParseError(f"line {reader.line_num}: bad multiplicity {raw!r}") from None
+        if count < 1:
+            raise ParseError(f"line {reader.line_num}: multiplicity must be positive")
+        merged[row] = merged.get(row, 0) + count
+    return merged
 
 
 def relation_from_csv(text: str, domains: Mapping[str, Iterable[str]] | None = None) -> Relation:
     reader = csv.reader(io.StringIO(text))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty relation file") from None
-    header = [h.strip() for h in header]
-    with_counts = bool(header) and header[-1] == COUNT_COLUMN
-    attributes = header[:-1] if with_counts else header
-    if not attributes:
-        raise ParseError("relation file has no attribute columns")
-    rows: list[tuple[Cell, ...]] = []
-    counts: list[int] = []
-    for lineno, record in enumerate(reader, start=2):
-        if not record or all(not cell.strip() for cell in record):
-            continue
-        if len(record) != len(header):
-            raise ParseError(
-                f"line {lineno}: expected {len(header)} cells, got {len(record)}"
-            )
-        cells = [_read_cell(c) for c in record[: len(attributes)]]
-        if with_counts:
-            raw = record[-1].strip()
-            try:
-                count = int(raw)
-            except ValueError:
-                raise ParseError(f"line {lineno}: bad multiplicity {raw!r}") from None
-            if count < 1:
-                raise ParseError(f"line {lineno}: multiplicity must be positive")
-        else:
-            count = 1
-        rows.append(tuple(cells))
-        counts.append(count)
+        header = next(reader, None)
+        if header is None:
+            raise ParseError("empty relation file")
+        header = [h.strip() for h in header]
+        with_counts = bool(header) and header[-1] == COUNT_COLUMN
+        attributes = header[:-1] if with_counts else header
+        if not attributes:
+            raise ParseError("relation file has no attribute columns")
+        merged = _read_records(reader, len(header), with_counts)
+    except csv.Error as exc:
+        raise ParseError(f"line {reader.line_num}: {exc}") from None
+    rows = tuple(merged)
     if domains is None:
+        # values taken from the data lie in their own domains
         schema = Schema.of(attributes, infer_domains(attributes, rows))
     else:
         schema = Schema.of(attributes, {a: tuple(vs) for a, vs in domains.items()})
-    return Relation.from_rows(schema, rows, counts)
+        if not _fits(schema, rows):
+            _raise_first_invalid(schema, rows, ())
+    return Relation(schema, rows, tuple(merged.values()))
 
 
 def relation_to_csv(relation: Relation) -> str:
+    """CSV text of the relation.  The csv module writes the null marker as
+    ``*`` through ``str``, so cells are escaped one by one only when some
+    domain holds a literal asterisk."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     with_counts = any(c != 1 for c in relation.counts)
@@ -353,11 +422,12 @@ def relation_to_csv(relation: Relation) -> str:
     if with_counts:
         header.append(COUNT_COLUMN)
     writer.writerow(header)
-    for row, c in zip(relation.rows, relation.counts):
-        record = [_write_cell(v) for v in row]
-        if with_counts:
-            record.append(str(c))
-        writer.writerow(record)
+    rows: Iterable[Sequence[Cell | int]] = relation.rows
+    if any("*" in dom for dom in relation.schema.domains):
+        rows = (tuple(map(_write_cell, row)) for row in rows)
+    if with_counts:
+        rows = ((*row, c) for row, c in zip(rows, relation.counts))
+    writer.writerows(rows)
     return out.getvalue()
 
 

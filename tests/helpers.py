@@ -168,3 +168,30 @@ def random_cnf(
         )
         clauses.append(clause)
     return CnfFormula(n_vars, tuple(clauses))
+
+
+def reference_domains(
+    attributes: Iterable[str], rows: Iterable[tuple]
+) -> dict[str, tuple[str, ...]]:
+    """Inferred domains computed cell by cell: each column's non-null values
+    in the order the rows show them, then the first of ``_v1``, ``_v2``, ...
+    not already taken, up to two values, plus one more when the column shows
+    a null."""
+    rows = list(rows)
+    domains = {}
+    for j, attr in enumerate(attributes):
+        values: list[str] = []
+        has_null = False
+        for row in rows:
+            if row[j] is NULL:
+                has_null = True
+            elif row[j] not in values:
+                values.append(row[j])
+        wanted = max(len(values), 2) + has_null
+        k = 1
+        while len(values) < wanted:
+            if f"_v{k}" not in values:
+                values.append(f"_v{k}")
+            k += 1
+        domains[attr] = tuple(values)
+    return domains

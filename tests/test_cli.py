@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 import time
 from pathlib import Path
@@ -80,6 +81,23 @@ class TestCheck:
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run(capsys, "check", "no-such.csv", "A _||_ B")
         assert code == 2
+
+    def test_csv_error_exits_2_naming_its_line(self, capsys, tmp_path):
+        # a cell longer than the csv module's field limit: exit 1 would read
+        # as "the atom fails" under --exit-status
+        path = tmp_path / "long.csv"
+        path.write_text("A,B\n0,1\n" + "x" * (csv.field_size_limit() + 1) + ",1\n")
+        code, out, err = run(capsys, "check", str(path), "A _||_ B", "--exit-status")
+        assert code == 2 and out == ""
+        assert "line 3" in err and "field limit" in err
+
+    def test_parse_error_names_the_physical_line(self, capsys, tmp_path):
+        # the quoted cell spans lines 2 and 3, so the short record is on line 5
+        path = tmp_path / "multiline.csv"
+        path.write_text('A,B\n"x\ny",1\n0,1\n1\n')
+        code, _, err = run(capsys, "check", str(path), "A _||_ B")
+        assert code == 2
+        assert "line 5: expected 2 cells, got 1" in err
 
 
 class TestImplies:
