@@ -39,10 +39,7 @@ from .implication import (
     ImplicationReport,
     SearchBounds,
     implies,
-    implies_cia,
     implies_ia,
-    implies_mixed_disjoint,
-    implies_pia_star,
     search_counterexample,
 )
 from .model_check import (
@@ -51,10 +48,6 @@ from .model_check import (
     check_cia_fast,
     check_ia,
     check_pia,
-    check_pia_oracle,
-    check_pia_unary,
-    cia_oracle_report,
-    pia_counting_bound,
 )
 from .relation import (
     NULL,

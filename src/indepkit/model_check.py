@@ -1,8 +1,10 @@
 """Deciding whether a relation satisfies an independence atom.
 
 Plain atoms are checked directly on the relation.  Possible and certain atoms
-quantify over groundings; both get a brute-force grounding oracle plus an
-exact fast path:
+quantify over groundings.  Both get the grounding oracle, the one place
+that counts and enumerates groundings, bounded by ``ORACLE_BOUND`` and
+reached through ``check_atom(..., method="oracle")``; and both get an exact
+fast path:
 
 * certain atoms reduce to constancy of the shared columns and of a side, or
   to the complete rows' tuples forming the product of the values every copy
@@ -37,7 +39,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .errors import FragmentError, OracleInfeasibleError
+from .errors import OracleInfeasibleError
 from .flow import Assignment, FlowNetwork, max_flow_assignment
 from .relation import NULL, Relation, Schema, relation_to_csv
 
@@ -225,21 +227,41 @@ def ground(
 def _oracle(r: Relation, x: Iterable[str], y: Iterable[str], want: bool) -> CheckReport:
     """Enumerate the groundings of the X∪Y columns until the plain atom
     evaluates to ``want`` on one; that grounding is the witness and the
-    verdict is ``want``, otherwise the verdict is ``not want``."""
+    verdict is ``want``, otherwise the verdict is ``not want``.
+
+    One pass over the rows lists each row's nulls in the atom's columns and
+    counts the groundings only until they pass the bound: p >= 2 choices per
+    copy pass it within as many copies as the bound has bits.  A row with
+    such a null becomes one row of count 1 per copy, every other row stays
+    once with its count, and the null cells are assigned in (row, copy,
+    column) order, the last varying fastest."""
     xi, yi, oi = _split_indices(r.schema, x, y)
-    cols = xi + yi + oi
-    # Count the groundings only until they pass the bound: p >= 2 choices per
-    # copy pass it within as many copies as the bound has bits.
+    cols = sorted(xi + yi + oi)
+    domains = r.schema.domains
+    copies: list[list[str] | tuple[str, ...]] = []
+    counts: list[int] = []
+    cells: list[tuple[int, int]] = []
     n = 1
     for row, c in zip(r.rows, r.counts):
-        p = math.prod(len(r.schema.domains[j]) for j in cols if row[j] is NULL)
-        n *= p ** min(c, ORACLE_BOUND.bit_length())
+        nulls = [j for j in cols if row[j] is NULL]
+        n *= math.prod(len(domains[j]) for j in nulls) ** min(c, ORACLE_BOUND.bit_length())
         if n > ORACLE_BOUND:
             raise OracleInfeasibleError(
                 f"the groundings of the atom's columns are above the oracle bound of {ORACLE_BOUND}"
             )
+        if not nulls:
+            copies.append(row)
+            counts.append(c)
+            continue
+        for _ in range(c):
+            cells.extend((len(copies), j) for j in nulls)
+            copies.append(list(row))
+            counts.append(1)
     examined = 0
-    for rows, counts in r.grounding_assignments(cols):
+    for assignment in itertools.product(*(domains[j] for _, j in cells)):
+        for (k, j), value in zip(cells, assignment):
+            copies[k][j] = value
+        rows = [tuple(row) for row in copies]
         examined += 1
         if _ia_on_rows(rows, xi, yi, oi) == want:
             return CheckReport(
@@ -380,25 +402,19 @@ def _pooled_assignment(r: Relation, ia: int, ib: int, fixed: dict[int, str]) -> 
 
 
 def check_pia_unary(r: Relation, a: str, b: str) -> CheckReport:
-    """Possible independence of two single attributes, decided in polynomial
-    time by ``check_pia``: the constancy rule, then the pooled assignment."""
+    """Alias of ``check_pia(r, {a}, {b})``.  No library code calls it; it
+    stays only because the benchmark tracer wraps it by name for its
+    ``model_check.check_pia_unary_ms`` metric, until that metric goes."""
     return check_pia(r, {a}, {b})
 
 
 # -- general possible atoms: support-set search ------------------------------
 
 
-def pia_counting_bound(r: Relation, x: Iterable[str], y: Iterable[str]) -> bool:
-    """Cheap refutation for disjoint sides: the complete tuples already fixed
-    on each side force a cross product larger than the relation.  ``False``
-    refutes the possible atom; ``True`` is no conclusion."""
-    xi, yi, oi = _split_indices(r.schema, x, y)
-    if oi:
-        raise FragmentError("the counting bound requires disjoint sides")
-    return _counting_bound(r, xi, yi)
-
-
 def _counting_bound(r: Relation, xi: tuple[int, ...], yi: tuple[int, ...]) -> bool:
+    """Cheap refutation for disjoint column sets: the complete tuples already
+    fixed on each side force a cross product larger than the relation.
+    ``False`` refutes the possible atom; ``True`` is no conclusion."""
     nx = len({t for t in (tuple(row[j] for j in xi) for row in r.rows) if NULL not in t})
     ny = len({t for t in (tuple(row[j] for j in yi) for row in r.rows) if NULL not in t})
     return nx * ny <= r.size

@@ -5,7 +5,11 @@ finite domains of non-null string values.  The reserved marker ``*`` (the
 module constant ``NULL``) stands for an existing but unknown value and is
 implicitly a member of every domain.  A *grounding* replaces every null cell,
 independently for each copy of a tuple, with a value from that attribute's
-domain.
+domain; this module only holds the data, and the grounding oracle in
+``model_check`` counts and enumerates groundings.  A domain value must be one
+a relation file can carry: not empty, without surrounding blanks or a
+carriage return (files are read with universal newlines), and not the
+escape ``\\*``.
 
 Rows are stored positionally: a tuple of cell strings aligned with
 ``Schema.attributes``.  Multiplicities are kept explicitly on distinct rows
@@ -26,9 +30,8 @@ import csv
 import io
 import itertools
 import json
-import math
 from dataclasses import dataclass
-from typing import Collection, Container, Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Container, Iterable, Mapping, Sequence
 
 from .errors import ParseError, SchemaError
 
@@ -95,6 +98,11 @@ class Schema:
                 )
             if len(values) < 2:
                 raise SchemaError(f"domain of {name!r} needs at least 2 values")
+            for v in dom:
+                if not v or v != v.strip() or v == "\\*" or "\r" in v:
+                    raise SchemaError(
+                        f"domain of {name!r} holds {v!r}, which a relation file cannot carry"
+                    )
         object.__setattr__(
             self, "_index", {a: i for i, a in enumerate(self.attributes)}
         )
@@ -210,11 +218,6 @@ class Relation:
         """Total multiplicity."""
         return sum(self.counts)
 
-    @property
-    def row_count(self) -> int:
-        """Number of distinct rows."""
-        return len(self.rows)
-
     def project(self, attributes: Iterable[str]) -> Relation:
         """Projection onto the given attributes; multiplicities are summed
         over rows that agree on them, so the total multiplicity is preserved."""
@@ -229,73 +232,15 @@ class Relation:
             merged[key] = merged.get(key, 0) + c
         return Relation(sub_schema, tuple(merged), tuple(merged.values()))
 
-    # -- groundings -------------------------------------------------------
-
-    def _null_cells(self, column_indices: Sequence[int] | None = None):
-        """Rows to ground, their multiplicities and the null-cell coordinates.
-
-        A row with a null in the grounded columns is expanded into one copy
-        per unit of multiplicity, each of count 1; every other row is kept
-        once with its count, so the work is linear in the expanded copies
-        only.  Cells are ordered by (row, copy, attribute position), which
-        fixes the enumeration order of groundings.  ``column_indices``
-        restricts the cells to the given columns; other nulls are left in
-        place.
-        """
-        allowed = None if column_indices is None else set(column_indices)
-        copies: list[list[str]] = []
-        counts: list[int] = []
-        cells: list[tuple[int, int]] = []
-        for row, c in zip(self.rows, self.counts):
-            nulls = [
-                j for j, value in enumerate(row)
-                if value == NULL and (allowed is None or j in allowed)
-            ]
-            if not nulls:
-                copies.append(list(row))
-                counts.append(c)
-                continue
-            for _ in range(c):
-                k = len(copies)
-                copies.append(list(row))
-                counts.append(1)
-                cells.extend((k, j) for j in nulls)
-        return copies, tuple(counts), cells
-
-    def count_groundings(self, column_indices: Sequence[int] | None = None) -> int:
-        """Product of |Dom(A)| over every null cell of every tuple copy,
-        or only over the null cells in the given columns."""
-        cols = range(len(self.schema.attributes)) if column_indices is None else column_indices
-        per_row = [
-            math.prod(len(self.schema.domains[j]) for j in cols if row[j] == NULL)
-            for row in self.rows
-        ]
-        return math.prod(p**c for p, c in zip(per_row, self.counts))
-
-    def grounding_assignments(
-        self, column_indices: Sequence[int] | None = None
-    ) -> Iterator[tuple[list[tuple[Cell, ...]], tuple[int, ...]]]:
-        """Yield ``(rows, counts)`` per assignment of the null cells in the
-        selected columns.  Each copy of a row with such a null is its own row
-        of count 1; other rows appear once with their multiplicity.  Rows are
-        plain tuples and may repeat."""
-        copies, counts, cells = self._null_cells(column_indices)
-        if not cells:
-            yield [tuple(r) for r in copies], counts
-            return
-        choice_lists = [self.schema.domains[j] for _, j in cells]
-        for assignment in itertools.product(*choice_lists):
-            for (k, j), value in zip(cells, assignment):
-                copies[k][j] = value
-            yield [tuple(r) for r in copies], counts
-
 
 # -- CSV and JSON interchange ---------------------------------------------
 #
 # Relation files are CSV: first row attribute names, optional final column
 # "#count" holding multiplicities, cell "*" meaning null and "\*" escaping a
-# literal asterisk value.  Domains may come from a sidecar JSON object that
-# maps each attribute to its array of non-null values.
+# literal asterisk value.  Cells are stripped, and an empty cell in a record
+# that is not all blank reads as the empty string, which no domain holds.
+# Domains may come from a sidecar JSON object that maps each attribute to its
+# array of non-null values.
 
 
 def _read_cell(cell: str) -> Cell:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 import string
+from collections import Counter
 from typing import Iterable
 
 from indepkit import (
@@ -24,12 +25,28 @@ def make_atom(lhs: Iterable[str], rhs: Iterable[str], modality: str = PLAIN) -> 
 
 
 def groundings(r: Relation) -> list[Relation]:
-    """Every grounding of the relation, in the order of
-    ``Relation.grounding_assignments``."""
-    return [
-        Relation.from_rows(r.schema, rows, counts, validate=False)
-        for rows, counts in r.grounding_assignments()
-    ]
+    """Every grounding of the relation, from the definition: each copy of
+    each row grounds its null cells to values of their columns' domains,
+    independently of the other copies.  Copies come in row order and cells
+    in column order, the last cell varying fastest."""
+    partial: list[list[tuple]] = [[]]
+    for row, c in zip(r.rows, r.counts):
+        choices = [r.schema.domains[j] if v is NULL else (v,) for j, v in enumerate(row)]
+        for _ in range(c):
+            partial = [rows + [g] for rows in partial for g in itertools.product(*choices)]
+    return [Relation.from_rows(r.schema, rows, validate=False) for rows in partial]
+
+
+def count_groundings(r: Relation, cols: Iterable[int] | None = None) -> int:
+    """The number of groundings of the given columns (all by default): the
+    product of |Dom(A)| over every null cell in them of every tuple copy."""
+    cols = range(len(r.schema.attributes)) if cols is None else cols
+    n = 1
+    for row, c in zip(r.rows, r.counts):
+        for j in cols:
+            if row[j] is NULL:
+                n *= len(r.schema.domains[j]) ** c
+    return n
 
 
 def random_relation(
@@ -61,7 +78,7 @@ def random_relation(
             rows.append(row)
             counts.append(rng.randint(1, max_count))
         relation = Relation.from_rows(schema, rows, counts)
-        if relation.count_groundings() <= grounding_cap:
+        if count_groundings(relation) <= grounding_cap:
             return relation
 
 
@@ -90,7 +107,7 @@ def saturated_relation(
             rows.append([NULL if rng.random() < 0.3 else rng.choice(d) for d in domains])
         counts = [rng.randint(1, 2) for _ in rows]
         relation = Relation.from_rows(Schema(ATTR_NAMES[:width], domains), rows, counts)
-        if relation.count_groundings() <= grounding_cap:
+        if count_groundings(relation) <= grounding_cap:
             return relation
 
 
@@ -125,8 +142,19 @@ def is_grounding(r: Relation, witness: Relation) -> bool:
     copies in which every non-null cell is kept?"""
     if any(NULL in row for row in witness.rows) or witness.size != r.size:
         return False
-    rows = [row for row, c in zip(r.rows, r.counts) for _ in range(c)]
-    copies = [row for row, c in zip(witness.rows, witness.counts) for _ in range(c)]
+    # a complete row needs copies equal to it, and those are interchangeable,
+    # so complete rows take theirs first; the rows with a null then match the
+    # copies left over
+    left = Counter(dict(zip(witness.rows, witness.counts)))
+    rows = []
+    for row, c in zip(r.rows, r.counts):
+        if NULL in row:
+            rows.extend([row] * c)
+        elif left[row] < c:
+            return False
+        else:
+            left[row] -= c
+    copies = [row for row, c in left.items() for _ in range(c)]
     holder = [-1] * len(copies)  # copy -> index of the row it grounds
 
     def place(i: int, seen: set[int]) -> bool:

@@ -20,27 +20,23 @@ from indepkit import (
     check_cia_fast,
     check_ia,
     check_pia,
-    check_pia_oracle,
-    check_pia_unary,
-    cia_oracle_report,
     closure,
     cnf_to_relation,
     derives,
     exchange_failure_groundings,
     exchange_failure_relation,
-    implies_cia,
-    implies_mixed_disjoint,
-    implies_pia_star,
     is_pia_star,
     parity_relation,
     parse_atom,
-    pia_counting_bound,
     pia_separating_family,
     sat_via_pia,
     search_counterexample,
 )
+from indepkit.implication import implies_cia, implies_mixed_disjoint, implies_pia_star
+from indepkit.model_check import check_pia_oracle, cia_oracle_report
 from helpers import (
     brute_force_sat,
+    count_groundings,
     groundings,
     random_atom_set,
     random_cnf,
@@ -147,7 +143,7 @@ def test_criterion_05_oracle_equivalence():
             a = rng.choice(relation.schema.attributes)
             b = rng.choice(relation.schema.attributes)
             assert (
-                check_pia_unary(relation, a, b).verdict
+                check_pia(relation, {a}, {b}).verdict
                 == check_pia_oracle(relation, {a}, {b}).verdict
             )
         # domains with no spare value on two columns, for the certain test
@@ -178,8 +174,8 @@ def test_criterion_07_separating_family():
             assert family.size == expected
             x = {f"X{i}" for i in range(1, k + 1)}
             y = {f"Y{i}" for i in range(1, m + 1)}
-            assert not pia_counting_bound(family, x, y)
-            assert not check_pia(family, x, y).verdict
+            report = check_pia(family, x, y)
+            assert not report.verdict and report.stats["counting_bound"]
             if (k, m) == (2, 2):
                 big = check_pia(family, {"X1", "X2", "Y1"}, {"Y2"})
                 assert big.verdict
@@ -256,7 +252,7 @@ def test_criterion_10_structural_properties():
                 assert not possible or check_pia(relation, x, smaller).verdict
                 cases += 1
 
-            assert len(groundings(relation)) == relation.count_groundings()
+            assert len(groundings(relation)) == count_groundings(relation)
             cases += 1
 
             attrs = [a for a in relation.schema.attributes if rng.random() < 0.5]

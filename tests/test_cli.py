@@ -99,6 +99,15 @@ class TestCheck:
         assert code == 2
         assert "line 5: expected 2 cells, got 1" in err
 
+    def test_empty_cell_exits_2_naming_its_column(self, capsys, tmp_path):
+        # a null is written *; an empty cell in a record that is not all
+        # blank would be the empty string, which no domain may hold
+        path = tmp_path / "empty-cell.csv"
+        path.write_text("A,B\n0,1\n1,\n")
+        code, out, err = run(capsys, "check", str(path), "A _||_p B", "--exit-status")
+        assert code == 2 and out == ""
+        assert "domain of 'B' holds ''" in err
+
 
 class TestImplies:
     def test_certain_triple(self, capsys):

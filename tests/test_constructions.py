@@ -11,18 +11,16 @@ from indepkit import (
     check_cia_fast,
     check_ia,
     check_pia,
-    check_pia_oracle,
-    cia_oracle_report,
     cnf_to_relation,
     constancy_counterexample,
     exchange_failure_groundings,
     exchange_failure_relation,
     parity_relation,
-    pia_counting_bound,
     pia_separating_family,
     sat_via_pia,
 )
-from helpers import brute_force_sat, groundings, make_atom, random_cnf
+from indepkit.model_check import check_pia_oracle, cia_oracle_report
+from helpers import brute_force_sat, count_groundings, groundings, make_atom, random_cnf
 
 
 class TestExchangeFailure:
@@ -55,7 +53,7 @@ class TestExchangeFailure:
         assert check_ia(second, {"A", "B"}, {"C"})
 
     def test_grounding_count(self):
-        assert exchange_failure_relation().count_groundings() == 4
+        assert count_groundings(exchange_failure_relation()) == 4
 
 
 class TestSeparatingFamily:
@@ -95,8 +93,8 @@ class TestSeparatingFamily:
         fam = pia_separating_family(k, m)
         x = {f"X{i}" for i in range(1, k + 1)}
         y = {f"Y{i}" for i in range(1, m + 1)}
-        assert not pia_counting_bound(fam, x, y)
-        assert not check_pia(fam, x, y).verdict
+        report = check_pia(fam, x, y)
+        assert not report.verdict and report.stats["counting_bound"]
 
     def test_2_2_satisfied_atoms(self):
         fam = pia_separating_family(2, 2)
@@ -118,7 +116,7 @@ class TestSeparatingFamily:
 
     def test_refuses_more_rows_than_the_limit(self):
         # 2^k + 1 distinct rows: k = 15 fits under 2^16, k = 16 does not
-        assert pia_separating_family(15, 1).row_count == 2**15 + 1
+        assert len(pia_separating_family(15, 1).rows) == 2**15 + 1
         for k in (16, 30, 10**9):
             with pytest.raises(ValueError, match="more than 65536 distinct rows"):
                 pia_separating_family(k, 1)
@@ -170,7 +168,7 @@ class TestParityRelation:
         names = [f"A{i}" for i in range(30)]
         with pytest.raises(ValueError, match="more than 65536 distinct rows"):
             parity_relation(tuple(names[:15]), tuple(names[15:17]), ())
-        assert parity_relation(("A",), ("B",), tuple(names)).row_count == 4
+        assert len(parity_relation(("A",), ("B",), tuple(names)).rows) == 4
 
 
 class TestConstancyCounterexample:

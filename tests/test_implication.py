@@ -25,17 +25,19 @@ from indepkit import (
     closure,
     derives,
     implies,
-    implies_cia,
     implies_ia,
-    implies_mixed_disjoint,
-    implies_pia_star,
     is_pia_star,
     parse_atom,
     render_atom,
     search_counterexample,
 )
 from indepkit import implication
-from indepkit.implication import constants_of
+from indepkit.implication import (
+    constants_of,
+    implies_cia,
+    implies_mixed_disjoint,
+    implies_pia_star,
+)
 from helpers import make_atom, random_atom_set
 
 
@@ -499,7 +501,7 @@ class TestOrderlyGeneration:
             if witness is not None:
                 assert (again.rows, again.counts) == (witness.rows, witness.counts)
         assert sum(w is not None for w in pruned) >= 6
-        assert [w.row_count for w in pruned[-2:]] == [4, 4]
+        assert [len(w.rows) for w in pruned[-2:]] == [4, 4]
 
 
 REGRESSION_CORPUS = [

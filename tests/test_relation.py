@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import re
+import string
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from indepkit import (
     relation_from_csv,
     relation_to_csv,
 )
-from helpers import groundings, random_relation, reference_domains
+from helpers import count_groundings, groundings, random_relation, reference_domains
 
 
 def binary_schema(*attrs: str) -> Schema:
@@ -37,6 +39,11 @@ class TestSchema:
     def test_null_marker_not_a_domain_value(self):
         with pytest.raises(SchemaError):
             Schema(("A",), (("0", NULL),))
+
+    @pytest.mark.parametrize("value", ["", " a", "a ", "\ta", "a\n", " ", "\\*", "a\rb"])
+    def test_values_a_relation_file_cannot_carry_are_rejected(self, value):
+        with pytest.raises(SchemaError, match=re.escape(f"domain of 'B' holds {value!r}")):
+            Schema(("A", "B"), (("0", "1"), ("x", value)))
 
 
 class TestProjection:
@@ -122,12 +129,12 @@ class TestGroundings:
         assert found[0].rows == (("0",),) and found[1].rows == (("1",),)
 
     def test_count_complete_relation(self, world1):
-        assert world1.count_groundings() == 1
+        assert count_groundings(world1) == 1
         assert all(NULL not in row for row in world1.rows)
 
     def test_count_independent_copies(self):
         r = Relation.from_rows(binary_schema("A", "B"), [(NULL, NULL)], [2])
-        assert r.count_groundings() == 16
+        assert count_groundings(r) == 16
         assert len(groundings(r)) == 16
 
     def test_count_matches_stream_length(self):
@@ -135,7 +142,7 @@ class TestGroundings:
         for _ in range(40):
             r = random_relation(rng, grounding_cap=2**12)
             all_groundings = groundings(r)
-            assert len(all_groundings) == r.count_groundings()
+            assert len(all_groundings) == count_groundings(r)
             for g in all_groundings:
                 assert g.size == r.size
 
@@ -162,7 +169,7 @@ class TestGroundings:
             schema,
             [("0", "0", "0"), (NULL, "1", "0"), (NULL, "0", "1"), ("1", "1", "1")],
         )
-        assert r.count_groundings() == 4
+        assert count_groundings(r) == 4
         assert len(groundings(r)) == 4
 
 
@@ -252,6 +259,14 @@ class TestCsv:
                 reference_domains(r.schema.attributes, r.rows)
             )
 
+    def test_round_trip_over_every_value_the_schema_accepts(self):
+        # random printable strings too; those the schema refuses are redrawn
+        rng = random.Random(16)
+        for case in range(300):
+            r = _awkward_relation(rng, max_count=1 + case % 3, extra=6)
+            domains = dict(zip(r.schema.attributes, r.schema.domains))
+            assert relation_from_csv(relation_to_csv(r), domains) == r, r.schema
+
     def test_domain_json_round_trip(self, table1):
         parsed = domains_from_json(domains_to_json(table1.schema))
         assert parsed == {
@@ -261,19 +276,28 @@ class TestCsv:
 
 
 # Domain values that need quoting or escaping in CSV, or that collide with
-# the synthetic names of inferred domains.  Left out, as the format cannot
-# carry them: values with surrounding blanks (cells are stripped), the empty
-# string (a record of blank cells is skipped) and a literal ``\*`` (it is
-# written unescaped and reads back as ``*``).
+# the synthetic names of inferred domains.  The values the format cannot
+# carry are refused by ``Schema``: the empty string, values with surrounding
+# blanks or a carriage return (a file is read with universal newlines), and
+# a literal ``\*``.
 AWKWARD_VALUES = ("0", "1", "a,b", 'say "hi"', "*", "_v1", "two\nlines", "é")
 
 
-def _awkward_relation(rng: random.Random, max_count: int) -> Relation:
+def _awkward_relation(rng: random.Random, max_count: int, extra: int = 0) -> Relation:
     """``random_relation`` with its values renamed, per column, to distinct
-    awkward values."""
+    awkward values, or to those and ``extra`` random printable strings of up
+    to four characters, redrawn until the schema accepts them."""
     base = random_relation(rng, max_count=max_count)
-    names = [rng.sample(AWKWARD_VALUES, len(d)) for d in base.schema.domains]
-    schema = Schema(base.schema.attributes, tuple(map(tuple, names)))
+    while True:
+        pool = AWKWARD_VALUES + tuple(
+            "".join(rng.choices(string.printable, k=rng.randint(0, 4))) for _ in range(extra)
+        )
+        names = [rng.sample(pool, len(d)) for d in base.schema.domains]
+        try:
+            schema = Schema(base.schema.attributes, tuple(map(tuple, names)))
+        except SchemaError:
+            continue
+        break
     rows = [
         tuple(v if v is NULL else names[j][int(v)] for j, v in enumerate(row))
         for row in base.rows
