@@ -24,7 +24,6 @@ from .constructions import (
     exchange_failure_relation,
     parity_relation,
     pia_separating_family,
-    sat_via_pia,
 )
 from .errors import IndepkitError
 from .implication import SearchBounds, implies, search_counterexample
@@ -253,7 +252,7 @@ def _cmd_from_cnf(args: argparse.Namespace) -> int:
     else:
         lines.append(relation_to_csv(relation).rstrip("\n"))
     if args.decide:
-        verdict = sat_via_pia(phi)
+        verdict = check_atom(relation, goal).verdict
         payload["satisfiable"] = verdict
         lines.append("satisfiable" if verdict else "unsatisfiable")
     _emit(args.json, lines, payload)

@@ -1,15 +1,18 @@
 """Incomplete-relation data model.
 
 Relations are finite multisets of tuples over a schema whose attributes have
-finite domains of non-null string values.  The reserved marker ``*`` (the
-module constant ``NULL``) stands for an existing but unknown value and is
-implicitly a member of every domain.  A *grounding* replaces every null cell,
-independently for each copy of a tuple, with a value from that attribute's
-domain; this module only holds the data, and the grounding oracle in
-``model_check`` counts and enumerates groundings.  A domain value must be one
-a relation file can carry: not empty, without surrounding blanks or a
-carriage return (files are read with universal newlines), and not the
-escape ``\\*``.
+finite domains of non-null string values.  The null, an existing but unknown
+value, is ``None`` in memory (the module constant ``NULL``) and ``*`` in
+files; it is implicitly a member of every domain.  A *grounding* replaces
+every null cell, independently for each copy of a tuple, with a value from
+that attribute's domain; this module only holds the data, and the grounding
+oracle in ``model_check`` counts and enumerates groundings.
+
+A domain value must be one a relation file can carry: not empty, without
+surrounding blanks or a carriage return (files are read with universal
+newlines), and not the escape ``\\*``.  So must an attribute name: not
+empty, without surrounding blanks or a carriage return, and not the
+multiplicity column ``#count``.
 
 Rows are stored positionally: a tuple of cell strings aligned with
 ``Schema.attributes``.  Multiplicities are kept explicitly on distinct rows
@@ -36,35 +39,10 @@ from typing import Collection, Container, Iterable, Mapping, Sequence
 from .errors import ParseError, SchemaError
 
 
-class NullMarker:
-    """Singleton sentinel for the unknown-value marker, kept distinct from
-    every domain string so that a literal asterisk value stays expressible."""
+NULL = None
 
-    _instance = None
-    __slots__ = ()
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "*"
-
-    def __str__(self) -> str:
-        return "*"
-
-    def __hash__(self) -> int:
-        return 0x2A
-
-    def __reduce__(self):
-        return (NullMarker, ())
-
-
-NULL = NullMarker()
-
-# Cells are domain strings or the null marker.
-Cell = str | NullMarker
+# Cells are domain strings or the null.
+Cell = str | None
 
 COUNT_COLUMN = "#count"
 
@@ -85,6 +63,10 @@ class Schema:
         for name in self.attributes:
             if not name:
                 raise SchemaError("attribute names must be non-empty")
+            if name != name.strip() or "\r" in name or name == COUNT_COLUMN:
+                raise SchemaError(
+                    f"attribute {name!r} is a name a relation file cannot carry"
+                )
             if name in seen:
                 raise SchemaError(f"duplicate attribute {name!r}")
             seen.add(name)
@@ -236,9 +218,10 @@ class Relation:
 # -- CSV and JSON interchange ---------------------------------------------
 #
 # Relation files are CSV: first row attribute names, optional final column
-# "#count" holding multiplicities, cell "*" meaning null and "\*" escaping a
-# literal asterisk value.  Cells are stripped, and an empty cell in a record
-# that is not all blank reads as the empty string, which no domain holds.
+# "#count" holding multiplicities, cell "*" meaning null (``None`` in memory)
+# and "\*" escaping a literal asterisk value.  Cells are stripped, and an
+# empty cell in a record that is not all blank reads as the empty string,
+# which no domain holds.
 # Domains may come from a sidecar JSON object that maps each attribute to its
 # array of non-null values.
 
@@ -357,9 +340,10 @@ def relation_from_csv(text: str, domains: Mapping[str, Iterable[str]] | None = N
 
 
 def relation_to_csv(relation: Relation) -> str:
-    """CSV text of the relation.  The csv module writes the null marker as
-    ``*`` through ``str``, so cells are escaped one by one only when some
-    domain holds a literal asterisk."""
+    """CSV text of the relation.  The csv module would write a null as an
+    empty cell, so cells are written one by one, nulls as ``*`` and literal
+    asterisks as ``\\*``, when the relation holds a null or some domain holds
+    a literal asterisk; a complete relation is written as it is."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     with_counts = any(c != 1 for c in relation.counts)
@@ -368,7 +352,9 @@ def relation_to_csv(relation: Relation) -> str:
         header.append(COUNT_COLUMN)
     writer.writerow(header)
     rows: Iterable[Sequence[Cell | int]] = relation.rows
-    if any("*" in dom for dom in relation.schema.domains):
+    if any("*" in dom for dom in relation.schema.domains) or any(
+        NULL in row for row in rows
+    ):
         rows = (tuple(map(_write_cell, row)) for row in rows)
     if with_counts:
         rows = ((*row, c) for row, c in zip(rows, relation.counts))

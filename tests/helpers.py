@@ -156,10 +156,22 @@ def is_grounding(r: Relation, witness: Relation) -> bool:
             left[row] -= c
     copies = [row for row, c in left.items() for _ in range(c)]
     holder = [-1] * len(copies)  # copy -> index of the row it grounds
+    # the copies a row may take are those that agree with its non-null
+    # cells: one index per null mask, keyed on the cells outside the mask
+    by_mask: dict[tuple[bool, ...], dict[tuple, list[int]]] = {}
+    fits: dict[tuple, list[int]] = {}
+    for row in rows:
+        mask = tuple(v is NULL for v in row)
+        if mask not in by_mask:
+            index = by_mask[mask] = {}
+            for k, copy in enumerate(copies):
+                key = tuple(w for w, blank in zip(copy, mask) if not blank)
+                index.setdefault(key, []).append(k)
+        fits[row] = by_mask[mask].get(tuple(v for v in row if v is not NULL), [])
 
     def place(i: int, seen: set[int]) -> bool:
-        for k, copy in enumerate(copies):
-            if k in seen or any(v is not NULL and v != w for v, w in zip(rows[i], copy)):
+        for k in fits[rows[i]]:
+            if k in seen:
                 continue
             seen.add(k)
             if holder[k] < 0 or place(holder[k], seen):
@@ -182,6 +194,43 @@ def brute_force_sat(phi: CnfFormula) -> bool:
         ):
             return True
     return False
+
+
+def dpll_sat(phi: CnfFormula) -> bool:
+    """Satisfiability by unit propagation and branching (Davis, Logemann &
+    Loveland 1962), independent of the reduction.  Clauses are sets of
+    literals; setting a literal true drops the clauses holding it and its
+    negation from the rest.  The branch takes the least literal of a
+    shortest clause."""
+
+    def assign(clauses: list[frozenset[int]], lit: int) -> list[frozenset[int]]:
+        return [c - {-lit} for c in clauses if lit not in c]
+
+    def solve(clauses: list[frozenset[int]]) -> bool:
+        while True:
+            if not clauses:
+                return True
+            shortest = min(clauses, key=len)
+            if not shortest:
+                return False
+            if len(shortest) > 1:
+                break
+            clauses = assign(clauses, next(iter(shortest)))
+        lit = min(shortest)
+        return solve(assign(clauses, lit)) or solve(assign(clauses, -lit))
+
+    return solve([frozenset(c) for c in phi.clauses])
+
+
+def random_3sat(rng: random.Random, n: int, ratio: float = 4.26) -> CnfFormula:
+    """A uniform random 3-SAT formula over n variables with ``round(ratio *
+    n)`` clauses, each of three distinct variables with random signs; 4.26
+    is near the satisfiability threshold, so both answers occur."""
+    clauses = tuple(
+        tuple(v * rng.choice((1, -1)) for v in rng.sample(range(1, n + 1), 3))
+        for _ in range(round(ratio * n))
+    )
+    return CnfFormula(n, clauses)
 
 
 def random_cnf(

@@ -7,7 +7,15 @@ from pathlib import Path
 
 import pytest
 
-from indepkit import check_atom, check_ia, parse_atom, read_relation, relation_from_csv
+from indepkit import (
+    check_atom,
+    check_ia,
+    cli,
+    constructions,
+    parse_atom,
+    read_relation,
+    relation_from_csv,
+)
 from indepkit.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -261,6 +269,20 @@ class TestWitnessAndCnf:
         lines = out.splitlines()
         assert lines[0] == "atom: V,P _||_p C"
         assert lines[-1] == "satisfiable"
+
+    def test_from_cnf_decide_builds_the_reduction_once(self, capsys, monkeypatch):
+        build = constructions.cnf_to_relation
+        calls = []
+
+        def counted(phi):
+            calls.append(phi)
+            return build(phi)
+
+        monkeypatch.setattr(constructions, "cnf_to_relation", counted)
+        monkeypatch.setattr(cli, "cnf_to_relation", counted)
+        code, out, _ = run(capsys, "from-cnf", str(DATA / "example.cnf"), "--decide")
+        assert code == 0 and out.splitlines()[-1] == "satisfiable"
+        assert len(calls) == 1
 
     def test_from_cnf_empty_clause_is_an_error(self, capsys, tmp_path):
         path = tmp_path / "empty-clause.cnf"

@@ -45,6 +45,13 @@ class TestSchema:
         with pytest.raises(SchemaError, match=re.escape(f"domain of 'B' holds {value!r}")):
             Schema(("A", "B"), (("0", "1"), ("x", value)))
 
+    @pytest.mark.parametrize("name", [" A", "A ", "\tA", "A\n", "A\rB", "#count"])
+    def test_names_a_relation_file_cannot_carry_are_rejected(self, name):
+        # surrounding blanks are stripped from a header, "\r" comes back as
+        # "\n", and a last column "#count" reads as the multiplicities
+        with pytest.raises(SchemaError, match=re.escape(f"attribute {name!r} is a name")):
+            binary_schema("B", name)
+
 
 class TestProjection:
     def test_running_example_projection(self, table1):
@@ -100,6 +107,13 @@ class TestMultiset:
         r1 = Relation.from_rows(schema, [("0", "1"), ("1", "0")])
         r2 = Relation.from_rows(schema, [("1", "0"), ("0", "1")])
         assert r1 == r2 and hash(r1) == hash(r2)
+
+    def test_none_is_a_null_cell(self):
+        r = Relation.from_rows(binary_schema("A", "B"), [("0", None), ("0", NULL)])
+        assert NULL is None
+        assert r.rows == (("0", NULL),) and r.counts == (2,)
+        assert count_groundings(r) == 4
+        assert relation_to_csv(r) == "A,B,#count\n0,*,2\n"
 
     def test_value_outside_domain_rejected(self):
         with pytest.raises(SchemaError):
@@ -267,6 +281,17 @@ class TestCsv:
             domains = dict(zip(r.schema.attributes, r.schema.domains))
             assert relation_from_csv(relation_to_csv(r), domains) == r, r.schema
 
+    def test_round_trip_over_every_name_the_schema_accepts(self):
+        # random printable names too; those the schema refuses are redrawn
+        rng = random.Random(17)
+        for case in range(300):
+            r = _awkward_relation(rng, max_count=1 + case % 3)
+            names = _awkward_names(rng, len(r.schema.attributes), extra=6)
+            r = Relation.from_rows(Schema(names, r.schema.domains), r.rows, r.counts)
+            text = relation_to_csv(r)
+            assert relation_from_csv(text, dict(zip(names, r.schema.domains))) == r, names
+            assert relation_from_csv(text).schema.attributes == names
+
     def test_domain_json_round_trip(self, table1):
         parsed = domains_from_json(domains_to_json(table1.schema))
         assert parsed == {
@@ -281,6 +306,29 @@ class TestCsv:
 # blanks or a carriage return (a file is read with universal newlines), and
 # a literal ``\*``.
 AWKWARD_VALUES = ("0", "1", "a,b", 'say "hi"', "*", "_v1", "two\nlines", "é")
+
+
+# Attribute names that need quoting in CSV, or that look like a null, an
+# escape or a synthetic value.  The names the format cannot carry are refused
+# by ``Schema``: the empty name, names with surrounding blanks or a carriage
+# return, and ``#count``.
+AWKWARD_NAMES = ("A", "a,b", 'say "hi"', "two\nlines", "*", "\\*", "_v1", "#counts", "é")
+
+
+def _awkward_names(rng: random.Random, width: int, extra: int) -> tuple[str, ...]:
+    """``width`` distinct names drawn from the awkward names and ``extra``
+    random printable strings of up to four characters, redrawn until the
+    schema accepts them."""
+    while True:
+        pool = AWKWARD_NAMES + tuple(
+            "".join(rng.choices(string.printable, k=rng.randint(0, 4))) for _ in range(extra)
+        )
+        names = tuple(rng.sample(pool, width))
+        try:
+            binary_schema(*names)
+        except SchemaError:
+            continue
+        return names
 
 
 def _awkward_relation(rng: random.Random, max_count: int, extra: int = 0) -> Relation:
