@@ -155,7 +155,7 @@ def render_atom(atom: Atom, schema: Schema | None = None, unicode_ops: bool = Fa
     return f"{side(atom.lhs)} {op} {side(atom.rhs)}"
 
 
-def parse_constraints(text: str, schema: Schema | None = None) -> list[Atom]:
+def parse_constraints(text: str) -> list[Atom]:
     """Parse a constraint file: one atom per line, ``#`` comments, duplicates
     dropped in first-seen order."""
     atoms: dict[Atom, None] = {}
@@ -164,7 +164,7 @@ def parse_constraints(text: str, schema: Schema | None = None) -> list[Atom]:
         if not line:
             continue
         try:
-            atoms[parse_atom(line, schema)] = None
+            atoms[parse_atom(line)] = None
         except ParseError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
     return list(atoms)

@@ -5,6 +5,10 @@ Subcommands: ``check`` (atom against a relation file), ``implies``
 ``closure``, ``derive`` (proof tree), ``witness`` (bundled constructions),
 and ``from-cnf`` (the satisfiability reduction).
 
+``witness``, ``from-cnf`` and ``implies --counterexample`` share one
+relation writer, ``_relation_output``, which renders the CSV and the domains
+once for the printed line, the JSON fields and the written files alike.
+
 Each subcommand declares only the flags it reads, and each setting comes from
 its flag or the flag's default; every subcommand takes ``--json``.
 """
@@ -15,7 +19,7 @@ import argparse
 import json
 import sys
 
-from .atoms import CERTAIN, PLAIN, POSSIBLE, parse_atom, parse_constraints, render_atom
+from .atoms import Atom, CERTAIN, PLAIN, POSSIBLE, parse_atom, parse_constraints, render_atom
 from .constructions import (
     CnfFormula,
     cnf_to_relation,
@@ -28,7 +32,7 @@ from .constructions import (
 from .errors import IndepkitError
 from .implication import SearchBounds, implies, search_counterexample
 from .model_check import check_atom
-from .relation import domains_to_json, read_relation, relation_to_csv
+from .relation import Relation, domains_to_json, read_relation, relation_to_csv
 from .rules import (
     SYSTEM_FULL,
     SYSTEM_I,
@@ -91,8 +95,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_implies(args: argparse.Namespace) -> int:
     bounds = SearchBounds(args.max_attributes, args.max_rows, args.domain_size)
-    with open(args.constraints, encoding="utf-8") as fh:
-        premises = parse_constraints(fh.read())
+    premises = _read_constraints(args.constraints)
     goal = parse_atom(args.atom)
     report = implies(premises, goal, args.sound_only)
     word = "implied" if report.completeness == "complete" else "derivable"
@@ -113,13 +116,16 @@ def _cmd_implies(args: argparse.Namespace) -> int:
         if witness is None:
             lines.append("no counterexample within the search bounds")
         else:
-            csv_path, dom_path = _write_relation_files(
-                witness, args.counterexample.removesuffix(".csv")
-            )
-            lines.append(f"counterexample written to {csv_path} and {dom_path}")
-            payload["counterexample"] = relation_to_csv(witness)
+            line, fields = _relation_output(witness, args.counterexample.removesuffix(".csv"))
+            lines.append(f"counterexample {line}")
+            payload["counterexample"] = fields["csv"]
     _emit(args.json, lines, payload)
     return EXIT_OK
+
+
+def _read_constraints(path: str) -> list[Atom]:
+    with open(path, encoding="utf-8") as fh:
+        return parse_constraints(fh.read())
 
 
 def _pick_system(args: argparse.Namespace, premises, goal=None):
@@ -138,43 +144,28 @@ def _pick_system(args: argparse.Namespace, premises, goal=None):
 
 
 def _cmd_closure(args: argparse.Namespace) -> int:
-    with open(args.constraints, encoding="utf-8") as fh:
-        premises = parse_constraints(fh.read())
+    premises = _read_constraints(args.constraints)
     system = _pick_system(args, premises)
-    universe = None
-    if args.universe:
-        universe = [a.strip() for a in args.universe.split(",") if a.strip()]
-    atoms = closure(premises, system, universe)
-    rendered = sorted(render_atom(a) for a in atoms)
-    lines = [f"{len(rendered)} atoms in the {system.name} closure"]
+    atoms = sorted(closure(premises, system, _split_names(args.universe)), key=render_atom)
     unicode_ops = _unicode_ok()
-    lines += [
-        "  " + render_atom(a, unicode_ops=unicode_ops)
-        for a in sorted(atoms, key=render_atom)
-    ]
-    _emit(args.json, lines, {"system": system.name, "atoms": rendered})
+    lines = [f"{len(atoms)} atoms in the {system.name} closure"]
+    lines += ["  " + render_atom(a, unicode_ops=unicode_ops) for a in atoms]
+    _emit(args.json, lines, {"system": system.name, "atoms": [render_atom(a) for a in atoms]})
     return EXIT_OK
 
 
 def _cmd_derive(args: argparse.Namespace) -> int:
-    with open(args.constraints, encoding="utf-8") as fh:
-        premises = parse_constraints(fh.read())
+    premises = _read_constraints(args.constraints)
     goal = parse_atom(args.atom)
     system = _pick_system(args, premises, goal)
     derivation = derives(premises, goal, system)
     if derivation is None:
-        _emit(
-            args.json,
-            [f"{render_atom(goal, unicode_ops=_unicode_ok())}: not derivable in {system.name}"],
-            {"derivable": False, "system": system.name, "steps": None},
-        )
-        return EXIT_OK
-    lines = [render_derivation_text(derivation, unicode_ops=_unicode_ok())]
-    payload = {
-        "derivable": True,
-        "system": system.name,
-        "steps": derivation_to_json_list(derivation),
-    }
+        lines = [f"{render_atom(goal, unicode_ops=_unicode_ok())}: not derivable in {system.name}"]
+        steps = None
+    else:
+        lines = [render_derivation_text(derivation, unicode_ops=_unicode_ok())]
+        steps = derivation_to_json_list(derivation)
+    payload = {"derivable": derivation is not None, "system": system.name, "steps": steps}
     _emit(args.json, lines, payload)
     return EXIT_OK
 
@@ -188,10 +179,8 @@ def _split_names(text: str | None) -> tuple[str, ...]:
 def _build_witness(args: argparse.Namespace):
     name = args.name
     if name == "exchange-failure":
-        if args.grounding == 1:
-            return exchange_failure_groundings()[0]
-        if args.grounding == 2:
-            return exchange_failure_groundings()[1]
+        if args.grounding:
+            return exchange_failure_groundings()[args.grounding - 1]
         return exchange_failure_relation()
     if name == "pia-family":
         if args.k is None or args.m is None:
@@ -210,27 +199,26 @@ def _build_witness(args: argparse.Namespace):
     raise ValueError(f"unknown construction {name!r}")
 
 
-def _write_relation_files(relation, out_base: str) -> tuple[str, str]:
-    csv_path = out_base + ".csv"
-    dom_path = out_base + ".domains.json"
+def _relation_output(relation: Relation, out_base: str | None) -> tuple[str, dict]:
+    """Render the relation's CSV and domains once.  With a base, write
+    BASE.csv and BASE.domains.json and name them in the text line; without,
+    the text line is the CSV.  Returns the line and the JSON fields."""
+    text = relation_to_csv(relation)
+    domains = domains_to_json(relation.schema)
+    fields = {"csv": text, "domains": json.loads(domains)}
+    if out_base is None:
+        return text.rstrip("\n"), fields
+    csv_path, dom_path = out_base + ".csv", out_base + ".domains.json"
     with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(relation_to_csv(relation))
+        fh.write(text)
     with open(dom_path, "w", encoding="utf-8") as fh:
-        fh.write(domains_to_json(relation.schema))
-    return csv_path, dom_path
+        fh.write(domains)
+    return f"written to {csv_path} and {dom_path}", fields
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
-    relation = _build_witness(args)
-    payload = {
-        "csv": relation_to_csv(relation),
-        "domains": json.loads(domains_to_json(relation.schema)),
-    }
-    if args.out:
-        csv_path, dom_path = _write_relation_files(relation, args.out)
-        _emit(args.json, [f"written to {csv_path} and {dom_path}"], payload)
-    else:
-        _emit(args.json, [relation_to_csv(relation).rstrip("\n")], payload)
+    line, fields = _relation_output(_build_witness(args), args.out or None)
+    _emit(args.json, [line], fields)
     return EXIT_OK
 
 
@@ -239,18 +227,9 @@ def _cmd_from_cnf(args: argparse.Namespace) -> int:
         phi = CnfFormula.from_dimacs(fh.read())
     relation, goal = cnf_to_relation(phi)
     atom_text = render_atom(goal, relation.schema)
-    lines = [f"atom: {atom_text}"]
-    payload = {
-        "atom": atom_text,
-        "csv": relation_to_csv(relation),
-        "domains": json.loads(domains_to_json(relation.schema)),
-        "satisfiable": None,
-    }
-    if args.out:
-        csv_path, dom_path = _write_relation_files(relation, args.out)
-        lines.append(f"written to {csv_path} and {dom_path}")
-    else:
-        lines.append(relation_to_csv(relation).rstrip("\n"))
+    line, fields = _relation_output(relation, args.out or None)
+    lines = [f"atom: {atom_text}", line]
+    payload = {"atom": atom_text, **fields, "satisfiable": None}
     if args.decide:
         verdict = check_atom(relation, goal).verdict
         payload["satisfiable"] = verdict

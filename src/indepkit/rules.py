@@ -6,6 +6,10 @@ operates on: plain (no suffix), ``_c`` certain, ``_p`` possible.  The system
 for possible atoms has no exchange rule; two mixed exchange rules (``E_pc``,
 ``E_cp``) combine a possible and a certain premise into a possible
 conclusion.
+
+``_RULE_INFO`` is the one table of rules: each id's kind, premise modalities
+and conclusion modality.  A rule system is a set of ids from it, and
+saturation applies a system's rules in table order.
 """
 
 from __future__ import annotations
@@ -30,22 +34,24 @@ from .errors import SaturationLimitError
 # refuses larger universes.
 ATTRIBUTE_LIMIT = 12
 
-# rule id -> (kind, premise modalities, conclusion modality)
+# rule id -> (kind, premise modalities, conclusion modality).  The order of
+# the entries is the order of application: saturation seeds the trivial
+# rules, then applies the rest to each atom in turn, in this order.
 _RULE_INFO: dict[str, tuple[str, tuple[Modality, ...], Modality]] = {
     "T": ("trivial", (), PLAIN),
-    "S": ("symmetry", (PLAIN,), PLAIN),
-    "C": ("constancy", (PLAIN, PLAIN), PLAIN),
-    "D": ("decomposition", (PLAIN,), PLAIN),
-    "E": ("exchange", (PLAIN, PLAIN), PLAIN),
     "T_c": ("trivial", (), CERTAIN),
-    "S_c": ("symmetry", (CERTAIN,), CERTAIN),
-    "C_c": ("constancy", (CERTAIN, CERTAIN), CERTAIN),
-    "D_c": ("decomposition", (CERTAIN,), CERTAIN),
-    "E_c": ("exchange", (CERTAIN, CERTAIN), CERTAIN),
     "T_p": ("trivial", (), POSSIBLE),
+    "S": ("symmetry", (PLAIN,), PLAIN),
+    "S_c": ("symmetry", (CERTAIN,), CERTAIN),
     "S_p": ("symmetry", (POSSIBLE,), POSSIBLE),
-    "C_p": ("constancy", (POSSIBLE, POSSIBLE), POSSIBLE),
+    "D": ("decomposition", (PLAIN,), PLAIN),
+    "D_c": ("decomposition", (CERTAIN,), CERTAIN),
     "D_p": ("decomposition", (POSSIBLE,), POSSIBLE),
+    "C": ("constancy", (PLAIN, PLAIN), PLAIN),
+    "C_c": ("constancy", (CERTAIN, CERTAIN), CERTAIN),
+    "C_p": ("constancy", (POSSIBLE, POSSIBLE), POSSIBLE),
+    "E": ("exchange", (PLAIN, PLAIN), PLAIN),
+    "E_c": ("exchange", (CERTAIN, CERTAIN), CERTAIN),
     "E_pc": ("exchange", (POSSIBLE, CERTAIN), POSSIBLE),
     "E_cp": ("exchange", (CERTAIN, POSSIBLE), POSSIBLE),
 }
@@ -77,12 +83,8 @@ SYSTEM_DISJOINT_MIXED = RuleSystem(
 )
 
 _NAMED_SYSTEMS: Mapping[str, RuleSystem] = {
-    "I": SYSTEM_I,
-    "I_c": SYSTEM_I_C,
-    "I_p": SYSTEM_I_P,
-    "J_pc": SYSTEM_J_PC,
-    "full": SYSTEM_FULL,
-    "disjoint-mixed": SYSTEM_DISJOINT_MIXED,
+    s.name: s
+    for s in (SYSTEM_I, SYSTEM_I_C, SYSTEM_I_P, SYSTEM_J_PC, SYSTEM_FULL, SYSTEM_DISJOINT_MIXED)
 }
 
 
@@ -115,16 +117,31 @@ class Derivation:
 
 
 class _Saturator:
-    """Worklist closure computation with backpointers for proof extraction."""
+    """Worklist closure over the rules of a system, with backpointers for
+    proof extraction.  Each rule is applied as ``_RULE_INFO`` describes it."""
 
-    def __init__(self, system: RuleSystem):
-        self.system = system
+    def __init__(self, system: RuleSystem, premises: Iterable[Atom], universe: frozenset[str]):
+        if len(universe) > ATTRIBUTE_LIMIT:
+            raise SaturationLimitError(
+                f"{len(universe)} attributes exceed the saturation limit of {ATTRIBUTE_LIMIT}"
+            )
         self.known: dict[Atom, tuple[str | None, tuple[Atom, ...]]] = {}
         self.queue: deque[Atom] = deque()
         self.by_lhs: dict[tuple[Modality, frozenset], list[Atom]] = {}
         self.by_union: dict[tuple[Modality, frozenset], list[Atom]] = {}
         self.constancy: dict[Modality, list[Atom]] = {}
         self.all_atoms: dict[Modality, list[Atom]] = {}
+        rules = [(rule, *info) for rule, info in _RULE_INFO.items() if rule in system]
+        # modality -> the system's rules, in table order, with a premise of it
+        self.rules_for = {m: [r for r in rules if m in r[2]] for m in (PLAIN, CERTAIN, POSSIBLE)}
+        for a in premises:
+            self.add(a, None, ())
+        names = sorted(universe)
+        for rule, kind, _, mc in rules:
+            if kind == "trivial":
+                for size in range(len(names) + 1):
+                    for combo in itertools.combinations(names, size):
+                        self.add(Atom(frozenset(combo), frozenset(), mc), rule, ())
 
     def add(self, atom: Atom, rule: str | None, premises: tuple[Atom, ...]) -> None:
         if atom in self.known:
@@ -138,37 +155,30 @@ class _Saturator:
         if atom.lhs == atom.rhs:
             self.constancy.setdefault(m, []).append(atom)
 
-    def _exchange_rules(self):
-        for rule in ("E", "E_c", "E_pc", "E_cp"):
-            if rule in self.system:
-                _, (m1, m2), mc = _RULE_INFO[rule]
-                yield rule, m1, m2, mc
-
     def process(self, a: Atom) -> None:
         m = a.modality
-        sym = {PLAIN: "S", CERTAIN: "S_c", POSSIBLE: "S_p"}[m]
-        if sym in self.system:
-            self.add(Atom(a.rhs, a.lhs, m), sym, (a,))
-        dec = {PLAIN: "D", CERTAIN: "D_c", POSSIBLE: "D_p"}[m]
-        if dec in self.system:
-            rhs = sorted(a.rhs)
-            for size in range(len(rhs)):
-                for combo in itertools.combinations(rhs, size):
-                    self.add(Atom(a.lhs, frozenset(combo), m), dec, (a,))
-        con = {PLAIN: "C", CERTAIN: "C_c", POSSIBLE: "C_p"}[m]
-        if con in self.system:
-            if a.lhs == a.rhs:
-                for b in list(self.all_atoms.get(m, ())):
-                    self.add(Atom(a.lhs | b.lhs, b.rhs, m), con, (a, b))
-            for c in list(self.constancy.get(m, ())):
-                self.add(Atom(c.lhs | a.lhs, a.rhs, m), con, (c, a))
-        for rule, m1, m2, mc in self._exchange_rules():
-            if m == m1:
-                for b in list(self.by_lhs.get((m2, a.lhs | a.rhs), ())):
-                    self.add(Atom(a.lhs, a.rhs | b.rhs, mc), rule, (a, b))
-            if m == m2:
-                for b in list(self.by_union.get((m1, a.lhs), ())):
-                    self.add(Atom(b.lhs, b.rhs | a.rhs, mc), rule, (b, a))
+        for rule, kind, mods, mc in self.rules_for[m]:
+            if kind == "symmetry":
+                self.add(Atom(a.rhs, a.lhs, mc), rule, (a,))
+            elif kind == "decomposition":
+                rhs = sorted(a.rhs)
+                for size in range(len(rhs)):
+                    for combo in itertools.combinations(rhs, size):
+                        self.add(Atom(a.lhs, frozenset(combo), mc), rule, (a,))
+            elif kind == "constancy":
+                if a.lhs == a.rhs:
+                    for b in list(self.all_atoms.get(m, ())):
+                        self.add(Atom(a.lhs | b.lhs, b.rhs, mc), rule, (a, b))
+                for c in list(self.constancy.get(m, ())):
+                    self.add(Atom(c.lhs | a.lhs, a.rhs, mc), rule, (c, a))
+            else:  # exchange: a fills each premise position its modality matches
+                m1, m2 = mods
+                if m == m1:
+                    for b in list(self.by_lhs.get((m2, a.lhs | a.rhs), ())):
+                        self.add(Atom(a.lhs, a.rhs | b.rhs, mc), rule, (a, b))
+                if m == m2:
+                    for b in list(self.by_union.get((m1, a.lhs), ())):
+                        self.add(Atom(b.lhs, b.rhs | a.rhs, mc), rule, (b, a))
 
     def run(self, goal: Atom | None = None) -> bool:
         while self.queue:
@@ -176,25 +186,6 @@ class _Saturator:
                 return True
             self.process(self.queue.popleft())
         return goal is not None and goal in self.known
-
-
-def _check_universe(universe: frozenset[str]) -> None:
-    if len(universe) > ATTRIBUTE_LIMIT:
-        raise SaturationLimitError(
-            f"{len(universe)} attributes exceed the saturation limit of {ATTRIBUTE_LIMIT}"
-        )
-
-
-def _seed(sat: _Saturator, premises: Iterable[Atom], universe: frozenset[str]) -> None:
-    for a in premises:
-        sat.add(a, None, ())
-    trivial = {"T": PLAIN, "T_c": CERTAIN, "T_p": POSSIBLE}
-    names = sorted(universe)
-    for rule, modality in trivial.items():
-        if rule in sat.system:
-            for size in range(len(names) + 1):
-                for combo in itertools.combinations(names, size):
-                    sat.add(Atom(frozenset(combo), frozenset(), modality), rule, ())
 
 
 def closure(
@@ -205,11 +196,7 @@ def closure(
     """Least fixpoint of the rule system over the given premises, restricted
     to atoms over the universe (premise attributes by default)."""
     premises = list(atoms)
-    uni = frozenset(universe) if universe is not None else attributes_of(premises)
-    uni |= attributes_of(premises)
-    _check_universe(uni)
-    sat = _Saturator(system)
-    _seed(sat, premises, uni)
+    sat = _Saturator(system, premises, frozenset(universe or ()) | attributes_of(premises))
     sat.run()
     return frozenset(sat.known)
 
@@ -219,10 +206,7 @@ def derives(atoms: Iterable[Atom], goal: Atom, system: RuleSystem) -> Derivation
     derive it.  Non-derivability equals non-implication only on fragments
     with a proven complete axiomatisation."""
     premises = list(atoms)
-    uni = attributes_of(premises) | goal.attributes
-    _check_universe(uni)
-    sat = _Saturator(system)
-    _seed(sat, premises, uni)
+    sat = _Saturator(system, premises, attributes_of(premises) | goal.attributes)
     if not sat.run(goal):
         return None
     return _extract(sat.known, goal)

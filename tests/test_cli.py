@@ -284,6 +284,32 @@ class TestWitnessAndCnf:
         assert code == 0 and out.splitlines()[-1] == "satisfiable"
         assert len(calls) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["from-cnf", str(DATA / "example.cnf")],
+            ["from-cnf", str(DATA / "example.cnf"), "--out", "{out}"],
+            ["witness", "exchange-failure"],
+            ["witness", "exchange-failure", "--out", "{out}"],
+            ["implies", str(DATA / "sigma_possible.txt"), "e _||_p s,g",
+             "--counterexample", "{out}.csv"],
+        ],
+        ids=["from-cnf", "from-cnf-out", "witness", "witness-out", "implies-counterexample"],
+    )
+    def test_relation_is_rendered_once(self, capsys, monkeypatch, tmp_path, argv):
+        render = cli.relation_to_csv
+        calls = []
+
+        def counted(relation):
+            calls.append(relation)
+            return render(relation)
+
+        monkeypatch.setattr(cli, "relation_to_csv", counted)
+        out = str(tmp_path / "rel")
+        code, _, _ = run(capsys, *(a.format(out=out) for a in argv))
+        assert code == 0
+        assert len(calls) == 1
+
     def test_from_cnf_empty_clause_is_an_error(self, capsys, tmp_path):
         path = tmp_path / "empty-clause.cnf"
         path.write_text("p cnf 1 2\n1 0\n0\n")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 import sys
 from pathlib import Path
@@ -664,6 +665,80 @@ class TestMetamorphicRelations:
                         check_atom(variant, moved, method="oracle").verdict,
                     )
                     assert got == verdicts, (r, variant, atom)
+
+
+class TestPlantedInstances:
+    """Relations of hundreds to thousands of rows with a planted answer.
+    The X'Y'-support of the complete relation is a product FX × FY, the
+    shared columns O hold one value, and a free column Z is random."""
+
+    @staticmethod
+    def planted_schema(rng: random.Random, kx: int, ky: int):
+        xs = [f"X{i}" for i in range(kx)]
+        ys = [f"Y{i}" for i in range(ky)]
+        shared = ["O"] if rng.random() < 0.5 else []
+        domains = {a: tuple(f"{a}v{k}" for k in range(rng.randint(2, 4))) for a in xs + ys}
+        domains.update({a: ("o", "o2") for a in shared}, Z=("z0", "z1", "z2"))
+        return xs, ys, shared, domains
+
+    def test_blanked_product_keeps_the_possible_atom(self):
+        # blanking cells keeps the planted relation a grounding, and the
+        # all-null row grounds to any product tuple
+        rng = random.Random(2025)
+        for _ in range(30):
+            xs, ys, shared, domains = self.planted_schema(rng, rng.randint(1, 3), rng.randint(1, 3))
+
+            def side(cols):
+                full = list(itertools.product(*(domains[a] for a in cols)))
+                return rng.sample(full, rng.randint(min(len(full), 4), min(len(full), 16)))
+
+            rate = rng.uniform(0, 0.5)
+            rows, counts = [], []
+            for tx, ty in itertools.product(side(xs), side(ys)):
+                for _ in range(rng.randint(1, 4)):
+                    row = (*tx, *ty, *("o" for _ in shared), rng.choice(domains["Z"]))
+                    rows.append(tuple(NULL if rng.random() < rate else v for v in row))
+                    counts.append(rng.randint(1, 5))
+            rows.append((NULL,) * len(rows[0]))
+            counts.append(rng.randint(1, 3))
+            r = Relation.from_rows(Schema.of((*xs, *ys, *shared, "Z"), domains), rows, counts)
+            x, y = xs + shared, ys + shared
+            report = check_pia(r, x, y)
+            assert report.verdict, (x, y)
+            assert check_ia(report.witness, x, y)
+            assert is_grounding(r, report.witness)
+
+    def test_used_up_domains_keep_the_certain_atom(self):
+        # the complete rows hold every tuple of the X' and Y' domains, so
+        # nulls there cannot ground outside the product; one column S of
+        # X'∪Y' has a spare value no row shows and no null until the end
+        rng = random.Random(2026)
+        for _ in range(30):
+            xs, ys, shared, domains = self.planted_schema(rng, rng.randint(1, 2), 2)
+            cols = xs + ys
+            spare = rng.choice(cols)
+            product = list(itertools.product(*(domains[a] for a in cols)))
+            rows = list(product)
+            rate = rng.uniform(0.05, 0.5)
+            for _ in range(rng.randint(len(product), 3 * len(product))):
+                t = rng.choice(product)
+                rows.append(tuple(
+                    NULL if a != spare and rng.random() < rate else v for a, v in zip(cols, t)
+                ))
+            rows = [(*row, *("o" for _ in shared), rng.choice(domains["Z"])) for row in rows]
+            counts = [rng.randint(1, 5) for _ in rows]
+            domains[spare] += ("spare",)
+            schema = Schema.of((*cols, *shared, "Z"), domains)
+            r = Relation.from_rows(schema, rows, counts)
+            assert any(NULL in row for row in r.rows)
+            x, y = xs + shared, ys + shared
+            assert check_cia_fast(r, x, y), (x, y)
+            t = rng.choice(product)
+            extra = (*(NULL if a == spare else v for a, v in zip(cols, t)),
+                     *("o" for _ in shared), "z0")
+            assert not check_cia_fast(
+                Relation.from_rows(schema, r.rows + (extra,), r.counts + (1,)), x, y
+            ), (x, y, spare)
 
 
 class TestGround:
