@@ -7,12 +7,17 @@ every grounding).
 
 Concrete syntax: ``lhs op rhs`` where each side is ``{}`` or a comma-separated
 attribute list, and the operator is ``_||_`` / ``_||_p`` / ``_||_c`` (with
-unicode aliases ``⊥`` / ``⊥p`` / ``⊥c``).  Constraint files hold one atom per
-line; ``#`` starts a comment.
+unicode aliases ``⊥`` / ``⊥p`` / ``⊥c``).  A ``p`` or ``c`` after the stem is
+a modality suffix only when no identifier character follows it (identifier
+characters are all but blanks, tabs, ``,``, ``{``, ``}``, ``_``, ``|`` and
+``⊥``), so ``A ⊥pq`` is plain ``⊥`` applied to ``pq``.  One suffix table
+serves both parsing and rendering.  Constraint files hold one atom per line;
+``#`` starts a comment.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Literal
 
@@ -25,18 +30,13 @@ PLAIN: Modality = "plain"
 POSSIBLE: Modality = "possible"
 CERTAIN: Modality = "certain"
 
-# Longer tokens first so "_||_p" is not read as "_||_" plus an identifier.
-_OPERATORS: tuple[tuple[str, Modality], ...] = (
-    ("_||_p", POSSIBLE),
-    ("_||_c", CERTAIN),
-    ("_||_", PLAIN),
-    ("⊥p", POSSIBLE),
-    ("⊥c", CERTAIN),
-    ("⊥", PLAIN),
-)
+# One suffix per modality serves both parsing and rendering.
+_SUFFIX: dict[Modality, str] = {PLAIN: "", POSSIBLE: "p", CERTAIN: "c"}
+_MODALITY: dict[str, Modality] = {suffix: m for m, suffix in _SUFFIX.items()}
 
-_ASCII_OP = {PLAIN: "_||_", POSSIBLE: "_||_p", CERTAIN: "_||_c"}
-_UNICODE_OP = {PLAIN: "⊥", POSSIBLE: "⊥p", CERTAIN: "⊥c"}
+# An operator stem, then a p/c suffix only when no identifier character
+# follows it: "A ⊥pq" reads as plain ⊥ applied to "pq".
+_OPERATOR = re.compile(r"(?:_\|\|_|⊥)([pc](?![^ \t,{}_|⊥]))?")
 
 
 @dataclass(frozen=True)
@@ -88,32 +88,13 @@ def is_pia_star(atom: Atom) -> bool:
     return nx == 1 or ny == 1 or abs(nx - ny) <= 1
 
 
-def _find_operator(text: str) -> tuple[int, int, Modality]:
-    for pos in range(len(text)):
-        for token, modality in _OPERATORS:
-            if text.startswith(token, pos):
-                end = pos + len(token)
-                # "⊥p" / "_||_p" only when the p/c is not the start of an
-                # identifier: "A ⊥pq" reads as plain ⊥ applied to "pq".
-                if token[-1] in "pc" and end < len(text) and _is_ident_char(text[end]):
-                    continue
-                return pos, end, modality
-    raise ParseError("no independence operator found", None)
-
-
-def _is_ident_char(ch: str) -> bool:
-    return ch not in " \t,{}" and not any(
-        ch == tok[0] for tok, _ in _OPERATORS
-    ) and ch != "|"
-
-
 def _parse_side(text: str, offset: int, schema: Schema | None) -> frozenset[str]:
     stripped = text.strip()
     if not stripped:
         raise ParseError("empty attribute list (write {} for the empty set)", offset)
-    found = [p for p in (text.find("_||_"), text.find("⊥")) if p >= 0]
-    if found:
-        raise ParseError("a side may not contain an independence operator", offset + min(found))
+    second = _OPERATOR.search(text)
+    if second:
+        raise ParseError("a side may not contain an independence operator", offset + second.start())
     if stripped == "{}":
         return frozenset()
     if "{" in stripped or "}" in stripped:
@@ -133,10 +114,12 @@ def _parse_side(text: str, offset: int, schema: Schema | None) -> frozenset[str]
 def parse_atom(text: str, schema: Schema | None = None) -> Atom:
     """Parse one atom.  With a schema, attribute names are validated against
     it; without one, any identifier is accepted."""
-    start, end, modality = _find_operator(text)
-    lhs = _parse_side(text[:start], 0, schema)
-    rhs = _parse_side(text[end:], end, schema)
-    return Atom(lhs, rhs, modality)
+    op = _OPERATOR.search(text)
+    if op is None:
+        raise ParseError("no independence operator found", None)
+    lhs = _parse_side(text[: op.start()], 0, schema)
+    rhs = _parse_side(text[op.end() :], op.end(), schema)
+    return Atom(lhs, rhs, _MODALITY[op.group(1) or ""])
 
 
 def render_atom(atom: Atom, schema: Schema | None = None, unicode_ops: bool = False) -> str:
@@ -151,7 +134,7 @@ def render_atom(atom: Atom, schema: Schema | None = None, unicode_ops: bool = Fa
             ordered = sorted(attrs)
         return ",".join(ordered)
 
-    op = (_UNICODE_OP if unicode_ops else _ASCII_OP)[atom.modality]
+    op = ("⊥" if unicode_ops else "_||_") + _SUFFIX[atom.modality]
     return f"{side(atom.lhs)} {op} {side(atom.rhs)}"
 
 
