@@ -100,14 +100,15 @@ def _parse_side(text: str, offset: int, schema: Schema | None) -> frozenset[str]
     if "{" in stripped or "}" in stripped:
         raise ParseError("braces are only allowed as the empty-set literal {}", offset)
     names = []
+    start = offset + text.index(stripped)  # where each part begins
     for part in stripped.split(","):
         name = part.strip()
         if not name:
-            raise ParseError("missing attribute name", offset + text.find(part))
+            raise ParseError("missing attribute name", start)
         if schema is not None and name not in schema.attributes:
-            position = offset + text.index(name)
-            raise ParseError(f"unknown attribute {name!r}", position)
+            raise ParseError(f"unknown attribute {name!r}", start + part.index(name))
         names.append(name)
+        start += len(part) + 1
     return frozenset(names)
 
 

@@ -69,6 +69,17 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _output_base(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("the file name base is empty")
+    return text
+
+
+def _csv_base(text: str) -> str:
+    """A ``--counterexample`` path, as the base of the files it names."""
+    return _output_base(text.removesuffix(".csv"))
+
+
 def _setting(parser, flag: str, default: int, what: str) -> None:
     parser.add_argument(flag, type=_positive_int, default=default,
                         help=f"{what} (default {default})")
@@ -116,7 +127,7 @@ def _cmd_implies(args: argparse.Namespace) -> int:
         if witness is None:
             lines.append("no counterexample within the search bounds")
         else:
-            line, fields = _relation_output(witness, args.counterexample.removesuffix(".csv"))
+            line, fields = _relation_output(witness, args.counterexample)
             lines.append(f"counterexample {line}")
             payload["counterexample"] = fields["csv"]
     _emit(args.json, lines, payload)
@@ -217,7 +228,7 @@ def _relation_output(relation: Relation, out_base: str | None) -> tuple[str, dic
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
-    line, fields = _relation_output(_build_witness(args), args.out or None)
+    line, fields = _relation_output(_build_witness(args), args.out)
     _emit(args.json, [line], fields)
     return EXIT_OK
 
@@ -227,7 +238,7 @@ def _cmd_from_cnf(args: argparse.Namespace) -> int:
         phi = CnfFormula.from_dimacs(fh.read())
     relation, goal = cnf_to_relation(phi)
     atom_text = render_atom(goal, relation.schema)
-    line, fields = _relation_output(relation, args.out or None)
+    line, fields = _relation_output(relation, args.out)
     lines = [f"atom: {atom_text}", line]
     payload = {"atom": atom_text, **fields, "satisfiable": None}
     if args.decide:
@@ -263,6 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_implies.add_argument(
         "--counterexample",
         metavar="PATH",
+        type=_csv_base,
         help="on a negative answer, search for a witness and write it here",
     )
     p_implies.add_argument(
@@ -302,12 +314,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_witness.add_argument("--pivot", help="pivot attribute (parity)")
     p_witness.add_argument("--attr", help="varying attribute (constancy)")
     p_witness.add_argument("--universe", help="comma-separated universe (constancy)")
-    p_witness.add_argument("--out", help="write BASE.csv and BASE.domains.json")
+    p_witness.add_argument("--out", type=_output_base, help="write BASE.csv and BASE.domains.json")
     p_witness.set_defaults(func=_cmd_witness)
 
     p_cnf = sub.add_parser("from-cnf", help="reduce a DIMACS CNF file to a relation")
     p_cnf.add_argument("cnf", help="DIMACS CNF file")
-    p_cnf.add_argument("--out", help="write BASE.csv and BASE.domains.json")
+    p_cnf.add_argument("--out", type=_output_base, help="write BASE.csv and BASE.domains.json")
     p_cnf.add_argument("--decide", action="store_true", help="also decide satisfiability")
     p_cnf.set_defaults(func=_cmd_from_cnf)
     for p in sub.choices.values():

@@ -111,10 +111,6 @@ class Derivation:
 
     steps: tuple[DerivationStep, ...]
 
-    @property
-    def conclusion(self) -> Atom:
-        return self.steps[-1].atom
-
 
 class _Saturator:
     """Worklist closure over the rules of a system, with backpointers for

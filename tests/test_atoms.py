@@ -73,6 +73,35 @@ class TestParse:
         assert err.value.position == column - 1
         assert f"at column {column}" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "text,message,column",
+        [
+            ("e,, _||_ s", "missing attribute name", 3),
+            ("e _||_ s,,", "missing attribute name", 10),
+            ("ab,a _||_ s", "unknown attribute 'a'", 4),
+            ("e _||_ s, ab,a", "unknown attribute 'a'", 14),
+        ],
+    )
+    def test_error_points_at_the_name(self, text, message, column):
+        schema = Schema(("ab", "s", "e"), (("0", "1"),) * 3)
+        with pytest.raises(ParseError) as err:
+            parse_atom(text, schema)
+        assert str(err.value).startswith(message)
+        assert err.value.position == column - 1
+
+    @pytest.mark.parametrize(
+        "text,modality,rhs",
+        [
+            ("A ⊥pq", PLAIN, {"pq"}),
+            ("A _||_cB", PLAIN, {"cB"}),
+            ("A ⊥p{}", POSSIBLE, set()),
+            ("A _||_c|B", CERTAIN, {"|B"}),
+            ("A _||_p\tB", POSSIBLE, {"B"}),
+        ],
+    )
+    def test_suffix_only_before_a_non_identifier_character(self, text, modality, rhs):
+        assert parse_atom(text) == make_atom({"A"}, rhs, modality)
+
     def test_second_operator_in_a_constraint_file(self):
         with pytest.raises(ParseError) as err:
             parse_constraints("A _||_c B _||_c C\n")

@@ -310,6 +310,27 @@ class TestWitnessAndCnf:
         assert code == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["witness", "exchange-failure", "--out", ""], "--out"),
+            (["from-cnf", str(DATA / "example.cnf"), "--out", ""], "--out"),
+            (["implies", str(DATA / "sigma_possible.txt"), "e _||_p s,g",
+              "--counterexample", ".csv"], "--counterexample"),
+            (["implies", str(DATA / "sigma_possible.txt"), "e _||_p s,g",
+              "--counterexample", ""], "--counterexample"),
+        ],
+    )
+    def test_empty_output_base_is_a_usage_error(self, capsys, monkeypatch, tmp_path, argv, flag):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: the file name base is empty" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
     def test_from_cnf_empty_clause_is_an_error(self, capsys, tmp_path):
         path = tmp_path / "empty-clause.cnf"
         path.write_text("p cnf 1 2\n1 0\n0\n")

@@ -92,7 +92,7 @@ class TestDerives:
         goal = parse_atom("r,s,g _||_p e")
         derivation = derives(sigma, goal, SYSTEM_FULL)
         assert derivation is not None
-        assert derivation.conclusion == goal
+        assert derivation.steps[-1].atom == goal
         validate_derivation(derivation, SYSTEM_FULL, sigma)
         assert set(rules_used(derivation)) <= SYSTEM_FULL.rules
 
@@ -165,7 +165,7 @@ class TestValidation:
             derivation = derives(sigma, target, SYSTEM_FULL)
             assert derivation is not None
             validate_derivation(derivation, SYSTEM_FULL, sigma)
-            assert derivation.conclusion == target
+            assert derivation.steps[-1].atom == target
 
 
 class TestRendering:
