@@ -30,7 +30,6 @@ PLAIN: Modality = "plain"
 POSSIBLE: Modality = "possible"
 CERTAIN: Modality = "certain"
 
-# One suffix per modality serves both parsing and rendering.
 _SUFFIX: dict[Modality, str] = {PLAIN: "", POSSIBLE: "p", CERTAIN: "c"}
 _MODALITY: dict[str, Modality] = {suffix: m for m, suffix in _SUFFIX.items()}
 
