@@ -26,7 +26,10 @@ fast path:
 Both assignments run on the one kernel in ``indepkit.flow``, and every
 witness is finished by ``ground``, which fills the nulls left over.  Each
 checker resolves its atom's attributes to column positions once; the steps
-below it take positions.
+below it take positions, and each projects the relation once onto its
+atom's columns and decides over the distinct patterns (``_patterns``).
+Multiplicities are read only where a verdict depends on them: the unary
+pools, the search's tuple copies, and whether a certain atom has two.
 """
 
 from __future__ import annotations
@@ -81,57 +84,53 @@ class CheckReport:
 def _split_indices(
     schema: Schema, x: Iterable[str], y: Iterable[str]
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Schema positions of x-only, y-only, and shared attributes."""
+    """Schema positions of x-only, y-only and shared attributes, in schema order."""
     xset, yset = frozenset(x), frozenset(y)
-    xi = schema.indices(xset - yset)
-    yi = schema.indices(yset - xset)
-    oi = schema.indices(xset & yset)
+    index = schema.index
+    xi = tuple(sorted(map(index, xset - yset)))
+    yi = tuple(sorted(map(index, yset - xset)))
+    oi = tuple(sorted(map(index, xset & yset)))
     return xi, yi, oi
 
 
-def _ia_on_rows(
-    rows: Sequence[tuple[str, ...]],
-    xi: tuple[int, ...],
-    yi: tuple[int, ...],
-    oi: tuple[int, ...],
-) -> bool:
-    """Plain independence on rows that are complete in the xi/yi/oi columns:
-    shared columns constant and the joint support a full cross product."""
-    if not rows:
-        return True
-    first = rows[0]
-    for j in oi:
-        v = first[j]
-        for t in rows:
-            if t[j] != v:
-                return False
-    xs = {tuple(t[j] for j in xi) for t in rows}
-    ys = {tuple(t[j] for j in yi) for t in rows}
-    xys = {tuple(t[j] for j in xi + yi) for t in rows}
-    return len(xys) == len(xs) * len(ys)
+def _project(rows: Sequence[Sequence[str]], cols: tuple[int, ...]) -> Iterable[tuple]:
+    """Each row's tuple on the columns, in row order; on no columns, ``()``."""
+    if len(cols) > 1:
+        return map(itemgetter(*cols), rows)
+    if cols:
+        return zip(map(itemgetter(*cols), rows))
+    return itertools.repeat((), len(rows))
+
+
+def _patterns(rows: Sequence[Sequence[str]], cols: tuple[int, ...]) -> dict[tuple, None]:
+    """The rows' distinct tuples on the columns, in first-occurrence order."""
+    return dict.fromkeys(_project(rows, cols))
+
+
+def _is_product(patterns: dict[tuple, None], o: int, n: int) -> bool:
+    """Plain independence on complete patterns laid out O, X', Y' with X' at
+    o:n: O constant and the patterns, then distinct on X'Y', a product."""
+    if o and len({p[:o] for p in patterns}) > 1:
+        return False
+    return len(patterns) == len({p[o:n] for p in patterns}) * len({p[n:] for p in patterns})
 
 
 def check_ia(r: Relation, x: Iterable[str], y: Iterable[str]) -> bool:
     """Does the relation itself satisfy the plain atom?  Requires the
     projection onto both sides to be complete."""
     xi, yi, oi = _split_indices(r.schema, x, y)
-    for row in r.rows:
-        for j in xi + yi + oi:
-            if row[j] == NULL:
-                return False
-    return _ia_on_rows(r.rows, xi, yi, oi)
+    patterns = _patterns(r.rows, oi + xi + yi)
+    complete = NULL not in itertools.chain.from_iterable(patterns)
+    return complete and _is_product(patterns, len(oi), len(oi) + len(xi))
 
 
-def is_certainly_constant(r: Relation, cols: Iterable[int]) -> bool:
-    """Does every grounding make the given columns a single constant tuple?
-    Relations with at most one row and no columns qualify trivially."""
-    if r.size <= 1:
+def _constant(patterns: dict[tuple, None], lo: int, hi: int) -> bool:
+    """Does every grounding of two or more tuple copies make positions lo:hi
+    of the patterns one constant tuple?  An empty range does."""
+    if lo == hi:
         return True
-    for j in cols:
-        first = r.rows[0][j]
-        if first is NULL or any(row[j] != first for row in r.rows):
-            return False
-    return True
+    first = next(iter(patterns))[lo:hi]
+    return NULL not in first and all(p[lo:hi] == first for p in patterns)
 
 
 def check_cia_fast(r: Relation, x: Iterable[str], y: Iterable[str]) -> bool:
@@ -163,23 +162,26 @@ def check_cia_fast(r: Relation, x: Iterable[str], y: Iterable[str]) -> bool:
     domains), then F = FX × FY with AX ⊆ FX and AY ⊆ FY.
     """
     xi, yi, oi = _split_indices(r.schema, x, y)
-    if not is_certainly_constant(r, oi):
-        return False
-    if is_certainly_constant(r, xi) or is_certainly_constant(r, yi):  # also when empty
+    if r.size <= 1:
         return True
-    patterns = set(map(itemgetter(*xi, *yi), r.rows))  # two or more columns: tuples
+    o, n = len(oi), len(oi) + len(xi)
+    patterns = _patterns(r.rows, oi + xi + yi)
+    if not _constant(patterns, 0, o):
+        return False
+    if _constant(patterns, o, n) or _constant(patterns, n, n + len(yi)):  # also when empty
+        return True
     domains = [r.schema.domains[j] for j in xi + yi]
-    for k, dom in enumerate(domains):
-        shown = {p[k] for p in patterns}
+    for pos, dom in enumerate(domains, o):
+        shown = set(map(itemgetter(pos), patterns))
         if NULL in shown and len(shown) <= len(dom):
             return False
-    n = len(xi)
-    f = {p for p in patterns if NULL not in p}
-    fx, fy = {p[:n] for p in f}, {p[n:] for p in f}
+    # O is constant now, so the patterns are distinct on X'Y'
+    f = [p for p in patterns if NULL not in p]
+    fx, fy = {p[o:n] for p in f}, {p[n:] for p in f}
     return (
         len(f) == len(fx) * len(fy)
-        and _grounds_into({p[:n] for p in patterns}, domains[:n], fx)
-        and _grounds_into({p[n:] for p in patterns}, domains[n:], fy)
+        and _grounds_into({p[o:n] for p in patterns}, domains[: n - o], fx)
+        and _grounds_into({p[n:] for p in patterns}, domains[n - o :], fy)
     )
 
 
@@ -236,7 +238,8 @@ def _oracle(r: Relation, x: Iterable[str], y: Iterable[str], want: bool) -> Chec
     once with its count, and the null cells are assigned in (row, copy,
     column) order, the last varying fastest."""
     xi, yi, oi = _split_indices(r.schema, x, y)
-    cols = sorted(xi + yi + oi)
+    layout = oi + xi + yi
+    cols = sorted(layout)
     domains = r.schema.domains
     copies: list[list[str] | tuple[str, ...]] = []
     counts: list[int] = []
@@ -261,14 +264,13 @@ def _oracle(r: Relation, x: Iterable[str], y: Iterable[str], want: bool) -> Chec
     for assignment in itertools.product(*(domains[j] for _, j in cells)):
         for (k, j), value in zip(cells, assignment):
             copies[k][j] = value
-        rows = [tuple(row) for row in copies]
         examined += 1
-        if _ia_on_rows(rows, xi, yi, oi) == want:
+        if _is_product(_patterns(copies, layout), len(oi), len(oi) + len(xi)) == want:
             return CheckReport(
                 want,
                 METHOD_ORACLE,
                 stats={"groundings": examined},
-                witness=ground(r.schema, rows, counts),
+                witness=ground(r.schema, [tuple(row) for row in copies], counts),
             )
     return CheckReport(not want, METHOD_ORACLE, stats={"groundings": examined})
 
@@ -287,34 +289,35 @@ def check_pia_oracle(r: Relation, x: Iterable[str], y: Iterable[str]) -> CheckRe
 # -- possible atoms: the constancy rule -------------------------------------
 
 
-def _pins(r: Relation, cols: Iterable[int]) -> dict[int, str] | None:
-    """The value each column must take for the columns to ground to one
-    constant tuple: the one non-null value it shows (an all-null column needs
-    none, as ``ground`` fills it alike), or None at a column's second value."""
+def _pins(patterns: dict[tuple, None], cols: tuple[int, ...], start: int) -> dict[int, str] | None:
+    """The value each column, from position ``start`` of the patterns on,
+    must take for the columns to ground to one constant tuple: the one
+    non-null value it shows (an all-null column needs none, as ``ground``
+    fills it alike), or None at a column's second value."""
     pins: dict[int, str] = {}
-    for j in cols:
-        for row in r.rows:
-            v = row[j]
+    for pos, j in enumerate(cols, start):
+        for p in patterns:
+            v = p[pos]
             if v is not NULL and pins.setdefault(j, v) != v:
                 return None
     return pins
 
 
 def _by_constancy(
-    r: Relation, sides: tuple[tuple[int, ...], ...], oi: tuple[int, ...]
+    r: Relation, patterns: dict, oi: tuple[int, ...], xi: tuple[int, ...], yi: tuple[int, ...]
 ) -> tuple[CheckReport | None, dict[int, str]]:
-    """The constancy rule of a possible atom.  A shared column is constant in
-    any witness, so one that shows two values refutes the atom.  A side (of
-    those given in ``sides``) whose own columns can ground to one constant
-    tuple has a one-tuple support, so grounding it and the shared columns so
-    makes the atom hold.  Returns the report when the rule decides, and the
-    pins of the shared columns."""
+    """The constancy rule of a possible atom, on the rows' patterns on O, X'
+    and Y' in that order.  A shared column is constant in any witness, so one
+    that shows two values refutes the atom.  A side whose own columns can
+    ground to one constant tuple has a one-tuple support, so grounding it and
+    the shared columns so makes the atom hold.  Returns the report when the
+    rule decides, and the pins of the shared columns."""
     rule = {"nodes": 0, "constancy": True}
-    fixed = _pins(r, oi)
+    fixed = _pins(patterns, oi, 0)
     if fixed is None:
         return CheckReport(False, METHOD_PIA_SEARCH, stats=rule), {}
-    for side in sides:
-        pins = _pins(r, side)
+    for side, start in ((xi, len(oi)), (yi, len(oi) + len(xi))):
+        pins = _pins(patterns, side, start)
         if pins is not None:
             witness = ground(r.schema, r.rows, r.counts, {**fixed, **pins})
             return CheckReport(True, METHOD_PIA_SEARCH, stats=rule, witness=witness), fixed
@@ -344,8 +347,7 @@ def build_flow_network(r: Relation, ia: int, ib: int) -> ProductNetwork:
     if ia == ib:
         raise ValueError("two distinct columns are required")
     pairs: dict[tuple, int] = {}
-    for row, count in zip(r.rows, r.counts):
-        key = (row[ia], row[ib])
+    for key, count in zip(_project(r.rows, (ia, ib)), r.counts):
         pairs[key] = pairs.get(key, 0) + count
     # a value's first pair comes no later than its first row
     avals = tuple(dict.fromkeys(va for va, _ in pairs if va is not NULL))
@@ -411,23 +413,13 @@ def check_pia_unary(r: Relation, a: str, b: str) -> CheckReport:
 # -- general possible atoms: support-set search ------------------------------
 
 
-def _counting_bound(r: Relation, xi: tuple[int, ...], yi: tuple[int, ...]) -> bool:
-    """Cheap refutation for disjoint column sets: the complete tuples already
-    fixed on each side force a cross product larger than the relation.
-    ``False`` refutes the possible atom; ``True`` is no conclusion."""
-    nx = len({t for t in (tuple(row[j] for j in xi) for row in r.rows) if NULL not in t})
-    ny = len({t for t in (tuple(row[j] for j in yi) for row in r.rows) if NULL not in t})
-    return nx * ny <= r.size
-
-
-def _column_candidates(r: Relation, j: int) -> tuple[str, ...]:
-    """Values a null cell in column j may take in the search: the values the
-    column shows, or its first domain value when it shows none.  Unshown
-    values are never needed: plain independence is invariant under renaming
-    values, so mapping every unshown value of a witness's column to one shown
-    value keeps its non-null cells and maps a product support to a product."""
-    shown = tuple(dict.fromkeys(row[j] for row in r.rows if row[j] is not NULL))
-    return shown or r.schema.domains[j][:1]
+def _counting_bound(size: int, patterns: dict[tuple, None], o: int, n: int) -> bool:
+    """Cheap refutation, on patterns laid out O, X', Y' with X' at o:n: the
+    complete tuples fixed on each side force a product larger than the
+    relation.  ``False`` refutes the possible atom; ``True`` is no conclusion."""
+    nx = sum(NULL not in t for t in {p[o:n] for p in patterns})
+    ny = sum(NULL not in t for t in {p[n:] for p in patterns})
+    return nx * ny <= size
 
 
 class _Side:
@@ -440,11 +432,17 @@ class _Side:
 
     def __init__(self, r: Relation, cols: tuple[int, ...]):
         self.cols = cols
-        self.cand = [_column_candidates(r, j) for j in cols]
-        self.patterns = [tuple(row[j] for j in cols) for row in r.rows]
+        self.patterns = list(_project(r.rows, cols))
         self.groups: dict[tuple, list[int]] = {}
         for i, pattern in enumerate(self.patterns):
             self.groups.setdefault(pattern, []).append(i)
+        # A null cell may take the values its column shows, or its first
+        # domain value when it shows none.  Unshown values are never needed:
+        # plain independence is invariant under renaming values, so mapping
+        # every unshown value of a witness's column to one shown value keeps
+        # its non-null cells and maps a product support to a product.
+        shown = [tuple(v for v in dict.fromkeys(c) if v is not NULL) for c in zip(*self.groups)]
+        self.cand = [values or r.schema.domains[j][:1] for j, values in zip(cols, shown)]
         self.masks = list(dict.fromkeys(tuple(v is NULL for v in p) for p in self.groups))
         # how many extensions a row's pattern has: its branching score
         self.scores = [
@@ -514,7 +512,7 @@ class _PiaSearch:
         self.augmentations = 0
         self.result: tuple[list[list[str]], list[int]] | None = None
         for s, side in enumerate(self.sides):
-            for value in dict.fromkeys(p for p in side.patterns if NULL not in p):
+            for value in [p for p in side.groups if NULL not in p]:
                 self._push(s, value)
 
     def _key(self, i: int):
@@ -634,12 +632,13 @@ def check_pia(r: Relation, x: Iterable[str], y: Iterable[str]) -> CheckReport:
     pooled assignment, and any other core the counting bound and the support
     search."""
     xi, yi, oi = _split_indices(r.schema, x, y)
-    decided, fixed = _by_constancy(r, (xi, yi), oi)
+    patterns = _patterns(r.rows, oi + xi + yi)
+    decided, fixed = _by_constancy(r, patterns, oi, xi, yi)
     if decided is not None:
         return decided
     if len(xi) == len(yi) == 1:
         return _pooled_assignment(r, xi[0], yi[0], fixed)
-    if not _counting_bound(r, xi, yi):
+    if not _counting_bound(r.size, patterns, len(oi), len(oi) + len(xi)):
         return CheckReport(False, METHOD_PIA_SEARCH, stats={"nodes": 0, "counting_bound": True})
 
     search = _PiaSearch(r, xi, yi)

@@ -111,6 +111,25 @@ def saturated_relation(
             return relation
 
 
+def ia_by_definition(r: Relation, x: Iterable[str], y: Iterable[str]) -> bool:
+    """Plain independence from its definition, sharing no code with the
+    checkers: no row has a null on X ∪ Y, and for every two rows t1 and t2
+    some row t has t[X] = t1[X] and t[Y] = t2[Y].  Multiplicities play no
+    part; t1 and t2 range over the rows' distinct X- and Y-values."""
+    xs = [r.schema.attributes.index(a) for a in sorted(x)]
+    ys = [r.schema.attributes.index(a) for a in sorted(y)]
+    if any(row[j] is NULL for row in r.rows for j in xs + ys):
+        return False
+
+    def on(row: tuple, cols: list[int]) -> tuple:
+        return tuple(row[j] for j in cols)
+
+    joint = {(on(t, xs), on(t, ys)) for t in r.rows}
+    x_values = {on(t, xs) for t in r.rows}
+    y_values = {on(t, ys) for t in r.rows}
+    return all((tx, ty) in joint for tx in x_values for ty in y_values)
+
+
 def random_sides(
     rng: random.Random, schema: Schema
 ) -> tuple[frozenset[str], frozenset[str]]:

@@ -36,11 +36,12 @@ from indepkit.model_check import (
     check_pia_unary,
     cia_oracle_report,
     ground,
-    is_certainly_constant,
 )
 from helpers import (
+    ATTR_NAMES,
     count_groundings,
     groundings,
+    ia_by_definition,
     is_grounding,
     make_atom,
     random_relation,
@@ -149,6 +150,56 @@ class TestCheckIa:
         assert not check_ia(r2, {"A"}, {"A", "B"})
 
 
+class TestPlainByDefinition:
+    """``check_ia`` against ``ia_by_definition``.  The grounding oracle runs
+    the same product test as ``check_ia``, so comparing the two would not
+    show a fault in it; the definition shares no code with either."""
+
+    def test_agrees_on_random_and_saturated_relations(self):
+        # overlapping and empty sides and multiplicities above 1 all occur
+        rng = random.Random(28)
+        holds = 0
+        for k in range(900):
+            if k % 3 == 2:
+                r = saturated_relation(rng)
+            else:
+                r = random_relation(rng, 5, 7, null_probability=(0.0, 0.22)[k % 3])
+            x, y = random_sides(rng, r.schema)
+            want = ia_by_definition(r, x, y)
+            assert check_ia(r, x, y) == want, (r, x, y)
+            holds += want and bool(x - y) and bool(y - x)
+        assert holds > 20
+
+    def test_agrees_on_relations_of_200_to_2000_rows(self):
+        # the full product of small domains plus random rows, then one value
+        # pair of two columns removed, one null added, or neither; a last
+        # column numbers the rows, so they stay distinct
+        rng = random.Random(29)
+        verdicts = []
+        for k in range(45):
+            width = rng.randint(2, 4)
+            domains = [tuple(str(v) for v in range(rng.randint(2, 4))) for _ in range(width)]
+            rows = list(itertools.product(*domains))
+            rows += [tuple(rng.choice(d) for d in domains) for _ in range(rng.randint(200, 2000))]
+            a, b = rng.sample(range(width), 2)
+            if k % 3 == 1:
+                gone = (rows[0][a], rows[0][b])
+                rows = [t for t in rows if (t[a], t[b]) != gone]
+            elif k % 3 == 2:
+                i = rng.randrange(len(rows))
+                rows[i] = tuple(NULL if j == a else v for j, v in enumerate(rows[i]))
+            ids = tuple(f"i{i}" for i in range(len(rows)))
+            schema = Schema(ATTR_NAMES[: width + 1], (*domains, ids))
+            counts = [rng.randint(1, 3) for _ in rows]
+            r = Relation.from_rows(schema, [(*t, i) for t, i in zip(rows, ids)], counts)
+            assert len(r.rows) >= 200
+            x, y = random_sides(rng, r.schema)
+            want = ia_by_definition(r, x, y)
+            assert check_ia(r, x, y) == want, (r, x, y)
+            verdicts.append(want)
+        assert 5 < sum(verdicts) < 40
+
+
 class TestOracles:
     def test_running_example_certain(self, table1):
         assert cia_oracle_report(table1, {"s"}, {"g"}).verdict
@@ -214,15 +265,17 @@ class TestOracles:
 
 
 class TestCertainlyConstant:
+    """``X ⊥c X`` holds exactly when X is certainly constant."""
+
     def test_race_column_not_constant(self, table1):
-        assert not is_certainly_constant(table1, (table1.schema.index("r"),))
+        assert not check_cia_fast(table1, {"r"}, {"r"})
 
     def test_single_null_tuple(self):
         r = rel("A", [("0", "1")], [(NULL,)])
-        assert is_certainly_constant(r, (0,))
+        assert check_cia_fast(r, {"A"}, {"A"})
 
     def test_empty_attribute_set(self, table1):
-        assert is_certainly_constant(table1, ())
+        assert check_cia_fast(table1, set(), set())
 
     def test_agrees_with_oracle_on_small_relations(self):
         rng = random.Random(11)
@@ -231,8 +284,43 @@ class TestCertainlyConstant:
             attrs = frozenset(
                 a for a in r.schema.attributes if rng.random() < 0.5
             )
-            cols = r.schema.indices(attrs)
-            assert is_certainly_constant(r, cols) == cia_oracle_report(r, attrs, attrs).verdict
+            assert check_cia_fast(r, attrs, attrs) == cia_oracle_report(r, attrs, attrs).verdict
+
+
+# Empty column sets on relations of at most two rows, with each verdict in
+# the order plain, certain, possible: a plain atom needs its columns
+# complete, a certain one two copies to set apart, and the two nulls of
+# ``*,*`` can ground alike.
+TINY_RELATIONS = {
+    "no-rows": "A,B\n",
+    "one-row-0-null": "A,B\n0,*\n",
+    "null-row-twice": "A,B\n*,*\n*,*\n",
+    "0-1-and-1-0": "A,B\n0,1\n1,0\n",
+}
+TINY_VERDICTS = {
+    "{} _||_ {}": dict.fromkeys(TINY_RELATIONS, (True, True, True)),
+    "{} _||_ A": {**dict.fromkeys(TINY_RELATIONS, (True, True, True)),
+                  "null-row-twice": (False, True, True)},
+    "A _||_ A": {"no-rows": (True, True, True), "one-row-0-null": (True, True, True),
+                 "null-row-twice": (False, False, True), "0-1-and-1-0": (False, False, False)},
+}
+
+
+class TestEmptyColumnsAndTinyRelations:
+    @pytest.mark.parametrize("modality", ["", "c", "p"], ids=["plain", "certain", "possible"])
+    @pytest.mark.parametrize("sides", list(TINY_VERDICTS))
+    @pytest.mark.parametrize("name", list(TINY_RELATIONS))
+    def test_auto_agrees_with_oracle(self, name, sides, modality):
+        r = relation_from_csv(TINY_RELATIONS[name])
+        atom = parse_atom(sides.replace("_||_", "_||_" + modality), r.schema)
+        auto, oracle = check_atom(r, atom), check_atom(r, atom, method="oracle")
+        want = TINY_VERDICTS[sides][name][("", "c", "p").index(modality)]
+        assert auto.verdict == oracle.verdict == want
+        if not modality:
+            assert ia_by_definition(r, atom.lhs, atom.rhs) == want
+        if modality == "p" and want:
+            assert ia_by_definition(auto.witness, atom.lhs, atom.rhs)
+            assert is_grounding(r, auto.witness)
 
 
 class TestCiaFast:
@@ -538,6 +626,7 @@ class TestResolvedOnce:
             ],
         )
         for check, x, y in (
+            (check_ia, {"A", "D"}, {"B"}),
             (check_cia_fast, {"A", "D"}, {"B"}),
             (check_pia, {"A", "C"}, {"B", "C"}),
             (check_pia, {"A", "D"}, {"B"}),
@@ -545,6 +634,28 @@ class TestResolvedOnce:
             lookups.clear()
             check(r, x, y)
             assert sorted(lookups) == sorted(x | y), (check, x, y)
+
+    def test_plain_and_certain_atoms_build_no_relation(self, monkeypatch):
+        # both atoms reach the product test; a relation built on the way,
+        # by Relation.from_rows or Relation.project, would show here
+        r = rel(
+            "ABC",
+            [("0", "1")] * 3,
+            [("0", "0", "0"), ("0", "1", NULL), ("1", "0", "1"), ("1", "1", NULL)],
+        )
+        built: list[tuple] = []
+        init = Relation.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Relation, "__init__", counting)
+        assert check_ia(r, {"A"}, {"B"})
+        assert check_cia_fast(r, {"A"}, {"B"})
+        assert not check_ia(r, {"A", "C"}, {"B"})
+        assert not check_cia_fast(r, {"A", "C"}, {"B"})
+        assert built == []
 
     def test_overlapping_unary_core_builds_only_the_witness(self, monkeypatch):
         r = rel(
