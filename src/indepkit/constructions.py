@@ -175,7 +175,12 @@ class CnfFormula:
                 num_vars, header_clauses = int(parts[2]), int(parts[3])
                 continue
             for token in line.split():
-                lit = int(token)
+                try:
+                    lit = int(token)
+                except ValueError:
+                    raise ParseError(f"line {lineno}: {token!r} is not a literal") from None
+                if header_clauses is not None and abs(lit) > num_vars:
+                    raise ParseError(f"line {lineno}: literal {lit} outside the header's 1..{num_vars}")
                 if lit == 0:
                     if not pending:
                         raise ParseError(f"line {lineno}: empty clause")

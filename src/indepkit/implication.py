@@ -347,7 +347,8 @@ def search_counterexample(
     caches: list[dict[tuple[int, ...], bool]] = [{} for _ in atoms]
 
     def relation_of(indices: tuple[int, ...]) -> Relation:
-        return Relation.from_rows(schema, [cells[i] for i in indices], validate=False)
+        merged = {i: indices.count(i) for i in indices}  # the cells are distinct
+        return Relation(schema, tuple(cells[i] for i in merged), tuple(merged.values()))
 
     for n_rows in range(1, bounds.max_rows + 1):
         for budget in range(0, n_rows * nulls_per_row + 1):

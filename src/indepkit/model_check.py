@@ -23,11 +23,12 @@ fast path:
   leaving the node pops them again, which needs no journal because every
   remaining pair still sits on a copy it may take.
 
-Both assignments run on the one kernel in ``indepkit.flow``, and every
-witness is finished by ``ground``, which fills the nulls left over.  Each
-checker resolves its atom's attributes to column positions once; the steps
-below it take positions, and each projects the relation once onto its
-atom's columns and decides over the distinct patterns (``_patterns``).
+Both assignments run on the one kernel in ``indepkit.flow``.  The constancy
+rule, both assignments and the oracle pass their witness as (row, copies)
+parts to ``write_witness``, which fills each remaining null once and merges
+equal rows.  Each checker resolves its atom's attributes to column positions
+once; the steps below it take positions, and each projects the relation once
+onto its atom's columns and decides over the distinct patterns (``_patterns``).
 Multiplicities are read only where a verdict depends on them: the unary
 pools, the search's tuple copies, and whether a certain atom has two.
 """
@@ -44,7 +45,7 @@ from typing import Iterable, Sequence
 
 from .errors import OracleInfeasibleError
 from .flow import Assignment, FlowNetwork, max_flow_assignment
-from .relation import NULL, Relation, Schema, relation_to_csv
+from .relation import NULL, Cell, Relation, Schema, relation_to_csv
 
 # The grounding oracles refuse relations with more groundings of the atom's
 # columns than this, rather than answer approximately.
@@ -208,22 +209,19 @@ def _grounds_into(
 # -- grounding oracle ------------------------------------------------------
 
 
-def ground(
-    schema: Schema,
-    rows: Iterable[Sequence[str]],
-    counts: Iterable[int] | None = None,
-    fixed: dict[int, str] | None = None,
+def write_witness(
+    schema: Schema, parts: Iterable[tuple[Sequence[Cell], int]], fixed: dict[int, str]
 ) -> Relation:
-    """The relation of the given rows with every remaining null in column j
-    set to ``fixed[j]``, or else to the column's first domain value.  Complete
-    rows pass through as they are."""
-    fixed = fixed or {}
-    fill = [fixed.get(j, schema.domains[j][0]) for j in range(len(schema.domains))]
-    grounded = [
-        row if NULL not in row else tuple(fill[j] if v is NULL else v for j, v in enumerate(row))
-        for row in rows
-    ]
-    return Relation.from_rows(schema, grounded, counts, validate=False)
+    """The witness of (row, copies) parts, where a part that hosts placed
+    values already carries them.  Every remaining null in column j is set
+    once, to ``fixed[j]`` or else to the column's first domain value; a row
+    with no null is kept as it is, and equal rows merge in first-seen order."""
+    fill = [fixed.get(j, dom[0]) for j, dom in enumerate(schema.domains)]
+    merged: dict[tuple[str, ...], int] = {}
+    for row, count in parts:
+        key = tuple([f if v is NULL else v for v, f in zip(row, fill)] if NULL in row else row)
+        merged[key] = merged.get(key, 0) + count
+    return Relation(schema, tuple(merged), tuple(merged.values()))
 
 
 def _oracle(r: Relation, x: Iterable[str], y: Iterable[str], want: bool) -> CheckReport:
@@ -270,7 +268,7 @@ def _oracle(r: Relation, x: Iterable[str], y: Iterable[str], want: bool) -> Chec
                 want,
                 METHOD_ORACLE,
                 stats={"groundings": examined},
-                witness=ground(r.schema, [tuple(row) for row in copies], counts),
+                witness=write_witness(r.schema, zip(copies, counts), {}),
             )
     return CheckReport(not want, METHOD_ORACLE, stats={"groundings": examined})
 
@@ -292,8 +290,8 @@ def check_pia_oracle(r: Relation, x: Iterable[str], y: Iterable[str]) -> CheckRe
 def _pins(patterns: dict[tuple, None], cols: tuple[int, ...], start: int) -> dict[int, str] | None:
     """The value each column, from position ``start`` of the patterns on,
     must take for the columns to ground to one constant tuple: the one
-    non-null value it shows (an all-null column needs none, as ``ground``
-    fills it alike), or None at a column's second value."""
+    non-null value it shows (an all-null column needs none, as
+    ``write_witness`` fills it alike), or None at a column's second value."""
     pins: dict[int, str] = {}
     for pos, j in enumerate(cols, start):
         for p in patterns:
@@ -319,7 +317,7 @@ def _by_constancy(
     for side, start in ((xi, len(oi)), (yi, len(oi) + len(xi))):
         pins = _pins(patterns, side, start)
         if pins is not None:
-            witness = ground(r.schema, r.rows, r.counts, {**fixed, **pins})
+            witness = write_witness(r.schema, zip(r.rows, r.counts), {**fixed, **pins})
             return CheckReport(True, METHOD_PIA_SEARCH, stats=rule, witness=witness), fixed
     return None, fixed
 
@@ -386,20 +384,17 @@ def _pooled_assignment(r: Relation, ia: int, ib: int, fixed: dict[int, str]) -> 
     cells_of: dict[tuple, list[tuple[str, str]]] = {}
     for cell, slot in zip(network.items, assignment):
         cells_of.setdefault(network.slots[slot], []).append(cell)
-    rows: list[Sequence[str]] = []
-    counts: list[int] = []
+    parts: list[tuple[Sequence[str], int]] = []
     for row, count in zip(r.rows, r.counts):
-        cells = cells_of.get((row[ia], row[ib]), [])
+        cells = cells_of.get((row[ia], row[ib]))
         while cells and count:
             new = list(row)
             new[ia], new[ib] = cells.pop()
-            rows.append(new)
-            counts.append(1)
+            parts.append((new, 1))
             count -= 1
         if count:
-            rows.append(row)
-            counts.append(count)
-    witness = ground(r.schema, rows, counts, {**fixed, ia: avals[0], ib: bvals[0]})
+            parts.append((row, count))
+    witness = write_witness(r.schema, parts, {**fixed, ia: avals[0], ib: bvals[0]})
     return CheckReport(True, METHOD_PIA_FLOW, stats=stats, witness=witness)
 
 
@@ -493,7 +488,7 @@ class _PiaSearch:
     leaves every other pair on a copy it may take, and popping its value
     reverses the option lists.  A state reached twice is explored twice:
     its subtree depends only on its support sets, so the second visit fails
-    as the first did.  ``result`` holds the witness rows and their counts,
+    as the first did.  ``result`` holds the witness's (row, copies) parts,
     grounded on the two sides only."""
 
     def __init__(self, r: Relation, x_cols: tuple[int, ...], y_cols: tuple[int, ...]):
@@ -510,7 +505,7 @@ class _PiaSearch:
         self.open = sorted((score, i, 0) for i, score in enumerate(self.x.scores))
         self.nodes = 0
         self.augmentations = 0
-        self.result: tuple[list[list[str]], list[int]] | None = None
+        self.result: list[tuple[list[str], int]] | None = None
         for s, side in enumerate(self.sides):
             for value in [p for p in side.groups if NULL not in p]:
                 self._push(s, value)
@@ -598,21 +593,19 @@ class _PiaSearch:
             self.pairs.append((ku, kw))
             placed += 1
         if not self.open:
-            self.result = self._build_witness()
+            self.result = self._witness_parts()
             return placed, None
         _, i, b = self.open[0]
         return placed, (b, self.sides[b].extensions(i))
 
-    def _build_witness(self) -> tuple[list[list[str]], list[int]]:
-        """Rows and counts of the witness: each hosted copy of row i grounds
-        to its pair as a row of its own, and the rest of row i to the first
-        pair it may take as one row."""
+    def _witness_parts(self) -> list[tuple[list[str], int]]:
+        """The witness's (row, copies) parts: each hosted copy of row i
+        carries its pair, and the rest of row i the first pair it may take."""
         x, y = self.x, self.y
         hosted: list[list[tuple[int, int]]] = [[] for _ in self.rows]
         for pair, i in zip(self.pairs, self.assignment.slot_of):
             hosted[i].append(pair)
-        rows: list[list[str]] = []
-        counts: list[int] = []
+        parts: list[tuple[list[str], int]] = []
         for i, (row, count) in enumerate(zip(self.rows, self.counts)):
             rest = count - len(hosted[i])
             others = [((x.opts[i][0], y.opts[i][0]), rest)] if rest else []
@@ -620,9 +613,8 @@ class _PiaSearch:
                 new = list(row)
                 for j, v in zip(x.cols + y.cols, x.values[ku] + y.values[kw]):
                     new[j] = v
-                rows.append(new)
-                counts.append(c)
-        return rows, counts
+                parts.append((new, c))
+        return parts
 
 
 def check_pia(r: Relation, x: Iterable[str], y: Iterable[str]) -> CheckReport:
@@ -646,7 +638,7 @@ def check_pia(r: Relation, x: Iterable[str], y: Iterable[str]) -> CheckReport:
     stats = {"nodes": search.nodes, "augmentations": search.augmentations}
     if not found:
         return CheckReport(False, METHOD_PIA_SEARCH, stats=stats)
-    witness = ground(r.schema, *search.result, fixed=fixed)
+    witness = write_witness(r.schema, search.result, fixed)
     return CheckReport(True, METHOD_PIA_SEARCH, stats=stats, witness=witness)
 
 

@@ -161,21 +161,21 @@ class Relation:
         schema: Schema,
         rows: Iterable[Sequence[Cell]],
         counts: Iterable[int] | None = None,
-        validate: bool = True,
     ) -> Relation:
-        """Build a relation, merging duplicate rows in first-seen order."""
+        """Build a relation, merging duplicate rows in first-seen order.  A row outside
+        the schema or a count that is not a positive integer raises ``SchemaError``."""
         row_list = [tuple(r) for r in rows]
         count_list = list(counts) if counts is not None else [1] * len(row_list)
         if len(row_list) != len(count_list):
             raise SchemaError("one multiplicity required per row")
-        if validate and counts is not None:
+        if counts is not None:
             for c in count_list:
                 if not isinstance(c, int) or c < 1:
                     _raise_first_invalid(schema, row_list, count_list)
         merged: dict[tuple[Cell, ...], int] = {}
         for row, c in zip(row_list, count_list):
             merged[row] = merged.get(row, 0) + c
-        if validate and not _fits(schema, merged):
+        if not _fits(schema, merged):
             _raise_first_invalid(schema, row_list, count_list)
         return cls(schema, tuple(merged), tuple(merged.values()))
 

@@ -34,7 +34,7 @@ def groundings(r: Relation) -> list[Relation]:
         choices = [r.schema.domains[j] if v is NULL else (v,) for j, v in enumerate(row)]
         for _ in range(c):
             partial = [rows + [g] for rows in partial for g in itertools.product(*choices)]
-    return [Relation.from_rows(r.schema, rows, validate=False) for rows in partial]
+    return [Relation.from_rows(r.schema, rows) for rows in partial]
 
 
 def count_groundings(r: Relation, cols: Iterable[int] | None = None) -> int:

@@ -248,6 +248,11 @@ class TestCnf:
             CnfFormula.from_dimacs("p cnf 1 2\n1 0\n0\n")
         with pytest.raises(ParseError, match="line 2: empty clause"):
             CnfFormula.from_dimacs("p cnf 1 1\n0\n")
+        with pytest.raises(ParseError, match="line 2: 'x' is not a literal"):
+            CnfFormula.from_dimacs("p cnf 2 1\n1 x 0\n")
+        # a literal above the header's variable count must not widen it
+        with pytest.raises(ParseError, match=r"line 3: literal 3 outside the header's 1\.\.1"):
+            CnfFormula.from_dimacs("p cnf 1 1\nc\n3 0\n")
 
     @pytest.mark.parametrize("text, found", [
         ("p cnf 2 3\n1 -2 0\n", 1),

@@ -35,7 +35,7 @@ from indepkit.model_check import (
     check_pia_oracle,
     check_pia_unary,
     cia_oracle_report,
-    ground,
+    write_witness,
 )
 from helpers import (
     ATTR_NAMES,
@@ -321,6 +321,12 @@ class TestEmptyColumnsAndTinyRelations:
         if modality == "p" and want:
             assert ia_by_definition(auto.witness, atom.lhs, atom.rhs)
             assert is_grounding(r, auto.witness)
+        # the oracle's witness shows its verdict: a grounding that satisfies
+        # a possible atom, or one that violates a certain atom
+        if modality and oracle.witness is not None:
+            assert oracle.verdict == (modality == "p")
+            assert ia_by_definition(oracle.witness, atom.lhs, atom.rhs) == oracle.verdict
+            assert is_grounding(r, oracle.witness)
 
 
 class TestCiaFast:
@@ -437,7 +443,7 @@ class TestPiaSearch:
         finally:
             sys.setrecursionlimit(limit)
         assert engine.result is not None and engine.nodes == 121
-        assert check_ia(ground(r.schema, *engine.result), {"A", "B"}, {"C", "D"})
+        assert check_ia(write_witness(r.schema, engine.result, {}), {"A", "B"}, {"C", "D"})
 
     def test_search_on_2000_rows_visits_one_node_per_row(self):
         # rows a_i,*,0,0: the support search adds one element per row, so
@@ -469,7 +475,7 @@ class TestPiaSearch:
         report = check_pia(r, x, y)
         assert report.verdict == verdict
         if verdict:
-            assert check_ia(ground(r.schema, *engine.result), x, y)
+            assert check_ia(write_witness(r.schema, engine.result, {}), x, y)
             assert check_ia(report.witness, x, y)
             assert report.witness.size == r.size
 
@@ -590,7 +596,7 @@ class TestTwoExactRoutes:
             found = search.run()
             assert _pooled_assignment(r, 0, 1, {}).verdict == found, r
             if found:
-                witness = ground(r.schema, *search.result)
+                witness = write_witness(r.schema, search.result, {})
                 assert check_ia(witness, {"A"}, {"B"}) and is_grounding(r, witness)
             verdicts.append(found)
         assert 0 < sum(verdicts) < len(verdicts)
@@ -664,16 +670,16 @@ class TestResolvedOnce:
             [("0", "0", "0"), ("1", NULL, NULL), (NULL, "1", "0"), (NULL, NULL, "0")],
         )
         built: list[Relation] = []
-        from_rows = Relation.from_rows
+        init = Relation.__init__
 
-        def counting(cls, *args, **kwargs):
-            built.append(from_rows(*args, **kwargs))
-            return built[-1]
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
 
-        monkeypatch.setattr(Relation, "from_rows", classmethod(counting))
+        monkeypatch.setattr(Relation, "__init__", counting)
         report = check_pia(r, {"A", "C"}, {"B", "C"})
         assert (report.verdict, report.method) == (True, "pia_flow")
-        assert built == [report.witness]
+        assert len(built) == 1 and built[0] is report.witness
         assert ("1", "1", "0") in report.witness.rows  # the shared C is pinned to 0
         assert check_ia(report.witness, {"A", "C"}, {"B", "C"})
 
@@ -852,14 +858,16 @@ class TestPlantedInstances:
             ), (x, y, spare)
 
 
-class TestGround:
+class TestWriteWitness:
     def test_fixed_values_then_first_domain_value(self):
         schema = Schema(("A", "B", "C"), (("0", "1"), ("0", "1"), ("0", "1")))
-        rows = [(NULL, "1", NULL), (NULL, NULL, "1")]
-        g = ground(schema, rows, [2, 1], fixed={1: "1"})
-        assert g == Relation.from_rows(schema, [("0", "1", "0"), ("0", "1", "1")], [2, 1])
-        # rows that ground alike merge
-        assert ground(schema, [(NULL, "0", "0"), ("0", "0", "0")]).counts == (2,)
+        parts = [((NULL, "1", NULL), 2), ([NULL, NULL, "1"], 1)]
+        g = write_witness(schema, parts, {1: "1"})
+        assert (g.rows, g.counts) == ((("0", "1", "0"), ("0", "1", "1")), (2, 1))
+        # rows that ground alike merge, in first-seen order
+        parts = [((NULL, "0", "1"), 1), (("1", "0", "0"), 2), (["0", "0", "1"], 3)]
+        g = write_witness(schema, iter(parts), {})
+        assert (g.rows, g.counts) == ((("0", "0", "1"), ("1", "0", "0")), (4, 2))
 
 
 class TestReportSerialization:
