@@ -167,6 +167,10 @@ class CnfFormula:
             if not line or line.startswith("c"):
                 continue
             if line.startswith("p"):
+                if header_clauses is not None:
+                    raise ParseError(f"line {lineno}: a second DIMACS header")
+                if clauses or pending:
+                    raise ParseError(f"line {lineno}: DIMACS header after a clause")
                 parts = line.split()
                 if len(parts) < 4 or parts[1] != "cnf" or not all(
                     part.isdigit() for part in parts[2:4]

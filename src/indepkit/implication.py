@@ -7,19 +7,24 @@ procedure decides goals with a singleton side or near-equal side sizes, and
 for disjoint mixed sets a certain goal depends only on the certain premises.
 Everything outside these fragments is answered as derivability only (sound,
 not complete); for possible-only sets that is the containment procedure,
-which gives derivability in I_p without saturation.  ``implies`` picks the decider for a query's fragment and
-labels the answer.
+which gives derivability in I_p without saturation.  ``implies`` picks the
+decider for a query's fragment and labels the answer.  The splitting and
+containment tests themselves live in ``rules``, whose ``derives`` asks them
+before it saturates.
 
 ``search_counterexample`` hunts for a relation that satisfies every premise
-and violates the goal.  It enumerates relations by row count, then null
-count, then lexicographically on the indices of their rows among the cells
-over the domain plus the null; absence within bounds proves nothing.  Of the
-relations that a per-column relabelling of values maps onto each other only
-the least is generated, so pruning does not change the first witness.  Being
-least is closed under prefixes (orderly generation, Read 1978), so the
-enumeration cuts a prefix that some relabelling lowers together with every
-extension of it.  Atom verdicts are cached per atom on the candidate's
-projection onto the atom's attributes, which is all a verdict depends on.
+and violates the goal.  It checks the bounds, then asks the routes of
+``implies`` that need no saturation: a goal they find implied or derivable
+gets None at once, since no relation refutes it.  Otherwise it enumerates
+relations by row count, then null count, then lexicographically on the
+indices of their rows among the cells over the domain plus the null;
+absence within bounds proves nothing.  Of the relations that a per-column
+relabelling of values maps onto each other only the least is generated, so
+pruning does not change the first witness.  Being least is closed under
+prefixes (orderly generation, Read 1978), so the enumeration cuts a prefix
+that some relabelling lowers together with every extension of it.  Atom
+verdicts are cached per atom on the candidate's projection onto the atom's
+attributes, which is all a verdict depends on.
 """
 
 from __future__ import annotations
@@ -45,15 +50,13 @@ from .atoms import (
 from .errors import FragmentError, SearchBoundsError
 from .model_check import check_atom
 from .relation import NULL, Relation, Schema
-from .rules import SYSTEM_DISJOINT_MIXED, SYSTEM_FULL, derives
-
-
-def constants_of(atoms: Iterable[Atom]) -> frozenset[str]:
-    """Attributes forced constant: members of both sides of some premise."""
-    out: set[str] = set()
-    for a in atoms:
-        out |= a.lhs & a.rhs
-    return frozenset(out)
+from .rules import (
+    SYSTEM_DISJOINT_MIXED,
+    SYSTEM_FULL,
+    containment_test,
+    derives,
+    splitting_test,
+)
 
 
 def implies_ia(sigma: Iterable[Atom], goal: Atom) -> bool:
@@ -82,23 +85,7 @@ def implies_ia(sigma: Iterable[Atom], goal: Atom) -> bool:
     premises = list(sigma)
     check_same_modality(premises, PLAIN, "implies_ia")
     check_same_modality([goal], PLAIN, "implies_ia")
-    constants = constants_of(premises)
-    if not goal.lhs & goal.rhs <= constants:
-        return False
-    todo = [(goal.lhs - constants, goal.rhs - constants)]
-    while todo:
-        xs, ys = todo.pop()
-        if not xs or not ys:
-            continue
-        z = xs | ys
-        for a in premises:
-            left, right = a.lhs & z, a.rhs & z
-            if left and right and left | right == z:
-                todo += [(xs & left, ys & left), (xs & right, ys & right)]
-                break
-        else:
-            return False
-    return True
+    return splitting_test(premises, goal)
 
 
 def implies_cia(sigma: Iterable[Atom], goal: Atom) -> bool:
@@ -121,24 +108,7 @@ def implies_pia_star(sigma: Iterable[Atom], goal: Atom) -> bool:
             f"goal {render_atom(goal)!r} is outside the decidable possible "
             "fragment; use derives() for a sound-only answer"
         )
-    return _contained(premises, goal)
-
-
-def _contained(premises: list[Atom], goal: Atom) -> bool:
-    """The containment test of possible implication: with the constant
-    attributes dropped from the goal, a side is empty or some premise holds
-    both sides.  It decides pia-star goals; on the others it is derivability
-    in I_p, whose rules only restrict or swap a premise's sides and add
-    constant attributes to a side."""
-    constants = constants_of(premises)
-    xs = goal.lhs - constants
-    ys = goal.rhs - constants
-    if not xs or not ys:
-        return True
-    for a in premises:
-        if (xs <= a.lhs and ys <= a.rhs) or (xs <= a.rhs and ys <= a.lhs):
-            return True
-    return False
+    return containment_test(premises, goal)
 
 
 def implies_mixed_disjoint(sigma: Iterable[Atom], goal: Atom) -> bool:
@@ -174,33 +144,45 @@ class ImplicationReport:
     route: str
 
 
+def _decide(premises: list[Atom], goal: Atom) -> ImplicationReport | None:
+    """The report of every route that needs no saturation; None for the two
+    saturating derivability routes and for plain atoms mixed with modal
+    ones."""
+    modalities = {a.modality for a in premises} | {goal.modality}
+    if modalities == {PLAIN}:
+        return ImplicationReport(implies_ia(premises, goal), "complete", "closure-I")
+    if PLAIN in modalities:
+        return None
+    if modalities == {CERTAIN}:
+        verdict = implies_cia(premises, goal)
+        return ImplicationReport(verdict, "complete", "certain-as-plain")
+    if modalities == {POSSIBLE}:
+        if is_pia_star(goal):
+            return ImplicationReport(implies_pia_star(premises, goal), "complete", "pia-star")
+        verdict = containment_test(premises, goal)
+        return ImplicationReport(verdict, "sound-only", "derivability-I_p")
+    if goal.modality == CERTAIN and all(is_disjoint(a) for a in [*premises, goal]):
+        verdict = implies_mixed_disjoint(premises, goal)
+        return ImplicationReport(verdict, "complete", "certain-core")
+    return None
+
+
 def implies(sigma: Iterable[Atom], goal: Atom, sound_only: bool = False) -> ImplicationReport:
     """Decide the query with the decider of its fragment.  Outside the
     complete fragments a derivability answer is given when ``sound_only`` is
     set; otherwise ``FragmentError`` is raised."""
     premises = list(sigma)
-    modalities = {a.modality for a in premises} | {goal.modality}
-    if modalities == {PLAIN}:
-        return ImplicationReport(implies_ia(premises, goal), "complete", "closure-I")
-    if PLAIN in modalities:
+    report = _decide(premises, goal)
+    if report is not None and (report.completeness == "complete" or sound_only):
+        return report
+    if any(a.modality == PLAIN for a in [*premises, goal]):
         raise FragmentError("plain atoms cannot be mixed with modal atoms")
-    if modalities == {CERTAIN}:
-        verdict = implies_cia(premises, goal)
-        return ImplicationReport(verdict, "complete", "certain-as-plain")
-    if modalities == {POSSIBLE} and is_pia_star(goal):
-        return ImplicationReport(implies_pia_star(premises, goal), "complete", "pia-star")
-    disjoint = all(is_disjoint(a) for a in [*premises, goal])
-    if disjoint and goal.modality == CERTAIN:
-        verdict = implies_mixed_disjoint(premises, goal)
-        return ImplicationReport(verdict, "complete", "certain-core")
     if not sound_only:
         raise FragmentError(
             f"{render_atom(goal)!r} under these premises is outside the complete "
             "fragments; set sound_only (CLI: --sound-only) for a derivability answer"
         )
-    if modalities == {POSSIBLE}:
-        return ImplicationReport(_contained(premises, goal), "sound-only", "derivability-I_p")
-    if disjoint:
+    if all(is_disjoint(a) for a in [*premises, goal]):
         verdict = implies_mixed_disjoint(premises, goal)
         return ImplicationReport(verdict, "sound-only", "derivability-disjoint-mixed")
     verdict = derives(premises, goal, SYSTEM_FULL) is not None
@@ -297,6 +279,37 @@ def search_counterexample(
     """First relation that satisfies every premise and violates the goal, or
     None within the bounds.
 
+    The bounds are checked first.  A goal that a route of ``implies`` needing
+    no saturation finds implied or derivable gets None at once: the routes
+    are sound, so no relation of any size refutes it.  Any other goal goes
+    to the enumeration of ``_first_counterexample``.
+    """
+    premises = list(sigma)
+    _universe(premises, goal, bounds)
+    report = _decide(premises, goal)
+    if report is not None and report.verdict:
+        return None
+    return _first_counterexample(premises, goal, bounds)
+
+
+def _universe(premises: list[Atom], goal: Atom, bounds: SearchBounds) -> list[str]:
+    """The attributes of the query, sorted (``A`` when there are none);
+    ``SearchBoundsError`` when they exceed the bounds."""
+    universe = sorted(attributes_of(premises) | goal.attributes) or ["A"]
+    if len(universe) > bounds.max_attributes:
+        raise SearchBoundsError(
+            f"{len(universe)} attributes exceed the bound of {bounds.max_attributes}"
+        )
+    return universe
+
+
+def _first_counterexample(
+    sigma: Iterable[Atom], goal: Atom, bounds: SearchBounds
+) -> Relation | None:
+    """The enumeration behind ``search_counterexample``, which asks no
+    decider: the first candidate that satisfies every premise and violates
+    the goal, or None within the bounds.
+
     Candidates come in a fixed order: by row count, then by null count, then
     lexicographically on the sorted indices of their rows among all cells
     over the domain plus the null.  When every atom is plain, only complete
@@ -316,13 +329,7 @@ def search_counterexample(
     be the candidate itself, which never repeats.
     """
     premises = list(sigma)
-    universe = sorted(attributes_of(premises) | goal.attributes)
-    if not universe:
-        universe = ["A"]
-    if len(universe) > bounds.max_attributes:
-        raise SearchBoundsError(
-            f"{len(universe)} attributes exceed the bound of {bounds.max_attributes}"
-        )
+    universe = _universe(premises, goal, bounds)
     domain = tuple(str(i) for i in range(bounds.domain_size))
     schema = Schema(tuple(universe), tuple(domain for _ in universe))
     width = len(universe)

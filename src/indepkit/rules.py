@@ -10,6 +10,11 @@ conclusion.
 ``_RULE_INFO`` is the one table of rules: each id's kind, premise modalities
 and conclusion modality.  A rule system is a set of ids from it, and
 saturation applies a system's rules in table order.
+
+Derivability in I, I_c and I_p is also decided without saturation, by the
+splitting test (I, and I_c on the same sides) and the containment test
+(I_p).  ``derives`` asks them first and saturates only for goals they find
+derivable, to extract the derivation; ``implication`` decides with them.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .atoms import (
     Atom,
@@ -85,6 +90,62 @@ SYSTEM_DISJOINT_MIXED = RuleSystem(
 _NAMED_SYSTEMS: Mapping[str, RuleSystem] = {
     s.name: s
     for s in (SYSTEM_I, SYSTEM_I_C, SYSTEM_I_P, SYSTEM_J_PC, SYSTEM_FULL, SYSTEM_DISJOINT_MIXED)
+}
+
+
+def constants_of(atoms: Iterable[Atom]) -> frozenset[str]:
+    """Attributes forced constant: members of both sides of some premise."""
+    out: set[str] = set()
+    for a in atoms:
+        out |= a.lhs & a.rhs
+    return frozenset(out)
+
+
+def splitting_test(premises: list[Atom], goal: Atom) -> bool:
+    """Derivability in I of the goal's sides from the premises' sides, by
+    splitting; modalities are not read.  ``implication.implies_ia`` gives
+    the argument and the cost."""
+    constants = constants_of(premises)
+    if not goal.lhs & goal.rhs <= constants:
+        return False
+    todo = [(goal.lhs - constants, goal.rhs - constants)]
+    while todo:
+        xs, ys = todo.pop()
+        if not xs or not ys:
+            continue
+        z = xs | ys
+        for a in premises:
+            left, right = a.lhs & z, a.rhs & z
+            if left and right and left | right == z:
+                todo += [(xs & left, ys & left), (xs & right, ys & right)]
+                break
+        else:
+            return False
+    return True
+
+
+def containment_test(premises: list[Atom], goal: Atom) -> bool:
+    """The containment test of possible implication: with the constant
+    attributes dropped from the goal, a side is empty or some premise holds
+    both sides.  It decides pia-star goals; on the others it is derivability
+    in I_p, whose rules only restrict or swap a premise's sides and add
+    constant attributes to a side."""
+    constants = constants_of(premises)
+    xs = goal.lhs - constants
+    ys = goal.rhs - constants
+    if not xs or not ys:
+        return True
+    for a in premises:
+        if (xs <= a.lhs and ys <= a.rhs) or (xs <= a.rhs and ys <= a.lhs):
+            return True
+    return False
+
+
+# rule set -> (modality, test equal to derivability when every atom has it)
+_DECIDERS: Mapping[frozenset[str], tuple[Modality, Callable[[list[Atom], Atom], bool]]] = {
+    SYSTEM_I.rules: (PLAIN, splitting_test),
+    SYSTEM_I_C.rules: (CERTAIN, splitting_test),
+    SYSTEM_I_P.rules: (POSSIBLE, containment_test),
 }
 
 
@@ -200,8 +261,16 @@ def closure(
 def derives(atoms: Iterable[Atom], goal: Atom, system: RuleSystem) -> Derivation | None:
     """A checked derivation of the goal, or None when the system cannot
     derive it.  Non-derivability equals non-implication only on fragments
-    with a proven complete axiomatisation."""
+    with a proven complete axiomatisation.
+
+    On I, I_c and I_p, when every atom has the system's modality, None comes
+    from the splitting or containment test without saturating, so
+    ``SaturationLimitError`` is raised only for derivable goals there."""
     premises = list(atoms)
+    modality, decide = _DECIDERS.get(system.rules, (None, None))
+    same = all(a.modality == modality for a in [*premises, goal])
+    if decide is not None and same and not decide(premises, goal):
+        return None
     sat = _Saturator(system, premises, attributes_of(premises) | goal.attributes)
     if not sat.run(goal):
         return None

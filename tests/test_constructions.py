@@ -253,6 +253,11 @@ class TestCnf:
         # a literal above the header's variable count must not widen it
         with pytest.raises(ParseError, match=r"line 3: literal 3 outside the header's 1\.\.1"):
             CnfFormula.from_dimacs("p cnf 1 1\nc\n3 0\n")
+        # the header comes first and once: a later one must not re-bound the literals
+        with pytest.raises(ParseError, match="line 2: DIMACS header after a clause"):
+            CnfFormula.from_dimacs("1 2 0\np cnf 1 1\n")
+        with pytest.raises(ParseError, match="line 3: a second DIMACS header"):
+            CnfFormula.from_dimacs("p cnf 2 1\n1 0\np cnf 2 1\n")
 
     @pytest.mark.parametrize("text, found", [
         ("p cnf 2 3\n1 -2 0\n", 1),

@@ -33,11 +33,11 @@ from indepkit import (
 )
 from indepkit import implication
 from indepkit.implication import (
-    constants_of,
     implies_cia,
     implies_mixed_disjoint,
     implies_pia_star,
 )
+from indepkit.rules import constants_of
 from helpers import make_atom, random_atom_set
 
 
@@ -320,10 +320,13 @@ class TestSearchCounterexample:
             assert check_atom(witness, premise).verdict
         assert not check_atom(witness, goal).verdict
 
+    # The soundness tests run the enumeration itself: search_counterexample
+    # answers implied goals from the deciders without enumerating.
+
     def test_premise_has_no_counterexample(self):
         sigma = atoms("A _||_c B")
         assert (
-            search_counterexample(sigma, sigma[0], SearchBounds(max_rows=3)) is None
+            implication._first_counterexample(sigma, sigma[0], SearchBounds(max_rows=3)) is None
         )
 
     def test_soundness_of_derivations(self):
@@ -334,7 +337,7 @@ class TestSearchCounterexample:
             (atoms("A _||_c B", "C _||_c B"), parse_atom("B _||_c A")),
         ]
         for sigma, goal in cases:
-            assert search_counterexample(sigma, goal, SearchBounds(max_rows=3)) is None
+            assert implication._first_counterexample(sigma, goal, SearchBounds(max_rows=3)) is None
 
     @pytest.mark.parametrize(
         "system, modalities",
@@ -364,7 +367,8 @@ class TestSearchCounterexample:
                 continue
             goal = rng.choice(derived)
             goals += 1
-            assert search_counterexample(sigma, goal, SearchBounds(3, 3, 2)) is None, (sigma, goal)
+            bounds = SearchBounds(3, 3, 2)
+            assert implication._first_counterexample(sigma, goal, bounds) is None, (sigma, goal)
 
     def test_plain_candidates_are_complete(self):
         # a null fails every plain atom on its column, so a relation with
@@ -372,7 +376,7 @@ class TestSearchCounterexample:
         sigma = atoms("B _||_ B")
         goal = parse_atom("B _||_ A")
         assert implies_ia(sigma, goal)
-        assert search_counterexample(sigma, goal, SearchBounds(3, 3, 2)) is None
+        assert implication._first_counterexample(sigma, goal, SearchBounds(3, 3, 2)) is None
         witness = search_counterexample(atoms("A _||_ B"), parse_atom("A _||_ C"))
         assert witness is not None and all(NULL not in row for row in witness.rows)
 
@@ -380,6 +384,74 @@ class TestSearchCounterexample:
         sigma = [make_atom({"A", "B", "C"}, {"D", "E", "F"}, CERTAIN)]
         with pytest.raises(SearchBoundsError):
             search_counterexample(sigma, parse_atom("A _||_c D"), SearchBounds(max_attributes=4))
+
+    def test_implied_goal_is_not_enumerated(self, monkeypatch):
+        def no_enumeration(*args):
+            raise AssertionError("an implied goal was enumerated")
+
+        monkeypatch.setattr(implication, "_row_multisets", no_enumeration)
+        bounds = SearchBounds(5, 16, 2)
+        for premises, goal in [
+            (("A _||_c B,C,D,E",), "A _||_c B"),
+            (("A _||_ B", "A,B _||_ C"), "A _||_ B,C"),
+            (("A,B _||_p C,D,E",), "B _||_p E"),
+            (("A _||_p B", "A _||_c C,D"), "D _||_c A"),
+        ]:
+            assert search_counterexample(atoms(*premises), parse_atom(goal), bounds) is None
+
+    def test_refuted_goal_keeps_its_first_witness(self):
+        # the witnesses the enumeration returned before the deciders were asked
+        bounds = SearchBounds(5, 16, 2)
+        for premises, goal, attributes, rows in [
+            (("A _||_c C", "B _||_c C"), "A,B _||_c C", ("A", "B", "C"),
+             (("0", "0", "0"), ("0", "1", "1"), ("1", "0", "1"), ("1", "1", "0"))),
+            (("e _||_p s", "e,s _||_p g"), "e _||_p s,g", ("e", "g", "s"),
+             (("0", "0", "0"), ("0", "1", NULL), ("1", "0", "1"), ("1", "1", NULL))),
+        ]:
+            witness = search_counterexample(atoms(*premises), parse_atom(goal), bounds)
+            assert witness.schema.attributes == attributes
+            assert (witness.rows, witness.counts) == (rows, (1, 1, 1, 1))
+
+
+class TestDecidedGoalsHaveNoCounterexample:
+    """Whenever a route of ``implies`` that needs no saturation finds the goal
+    implied or derivable, the enumeration finds no counterexample; otherwise
+    ``search_counterexample`` would skip a refutation."""
+
+    @staticmethod
+    def _cases(rng, n):
+        shapes = ((1, 2), (2, 2), (3, 2), (2, 3))
+        mixes = ((PLAIN,), (CERTAIN,), (POSSIBLE,), (POSSIBLE, CERTAIN))
+        for i in range(n):
+            width, domain_size = shapes[i % len(shapes)]
+            universe = "ABC"[:width]
+            mods = mixes[i // len(shapes) % len(mixes)]
+
+            def draw():
+                # sides may overlap or be empty
+                lhs = frozenset(a for a in universe if rng.random() < 0.5)
+                rhs = frozenset(a for a in universe if rng.random() < 0.5)
+                return Atom(lhs, rhs, rng.choice(mods))
+
+            premises = [draw() for _ in range(rng.randint(1, 3))]
+            if rng.random() < 0.25:  # an A _||_ A premise makes A constant
+                constant = frozenset(rng.choice(universe))
+                premises.append(Atom(constant, constant, rng.choice(mods)))
+            yield premises, draw(), SearchBounds(width, 3, domain_size)
+
+    def test_differential(self):
+        routes = []
+        for premises, goal, bounds in self._cases(random.Random(20261020), 2000):
+            report = implication._decide(premises, goal)
+            if report is None or not report.verdict:
+                continue
+            routes.append(report.route)
+            witness = implication._first_counterexample(premises, goal, bounds)
+            assert witness is None, (premises, goal, report)
+        assert len(routes) >= 1000
+        assert set(routes) == {
+            "closure-I", "certain-as-plain", "pia-star", "derivability-I_p", "certain-core",
+        }
 
 
 def random_search_cases(rng, shapes, n, max_rows):
@@ -479,7 +551,7 @@ class TestOrderlyGeneration:
 
         monkeypatch.setattr(implication, "check_atom", counting)
         monkeypatch.setattr(implication, "_row_multisets", counting_multisets)
-        assert search_counterexample(sigma, goal, SearchBounds(4, 3, 2)) is None
+        assert implication._first_counterexample(sigma, goal, SearchBounds(4, 3, 2)) is None
         assert len(set(seen)) == len(seen)
         # the goal fails on some candidates, so the first premise is reached
         assert {atom for atom, _ in seen} == {goal, sigma[0]}

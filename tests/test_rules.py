@@ -6,6 +6,7 @@ import pytest
 
 from indepkit import (
     CERTAIN,
+    PLAIN,
     POSSIBLE,
     RuleSystem,
     SYSTEM_DISJOINT_MIXED,
@@ -23,6 +24,7 @@ from indepkit import (
     system_by_name,
     validate_derivation,
 )
+from indepkit import rules
 from helpers import make_atom, random_atom_set
 
 
@@ -132,6 +134,57 @@ class TestDerives:
         assert derivation is not None
         validate_derivation(derivation, SYSTEM_FULL, sigma)
         assert "E_cp" in rules_used(derivation)
+
+
+class TestDerivesWithoutSaturation:
+    """On I, I_c and I_p, ``derives`` answers a goal that is not derivable
+    from the splitting or containment test, without saturating.  These
+    compare it with closure membership on 1,500 premise sets over 3 to 6
+    attributes, and count the saturators it builds."""
+
+    SIZES = (3, 4) * 19 + (5, 6)
+
+    @pytest.mark.parametrize(
+        "seed, system, modality",
+        [(81, SYSTEM_I, PLAIN), (82, SYSTEM_I_C, CERTAIN), (83, SYSTEM_I_P, POSSIBLE)],
+        ids=["I", "I_c", "I_p"],
+    )
+    def test_none_exactly_outside_the_closure(self, monkeypatch, seed, system, modality):
+        built = []
+
+        class CountingSaturator(rules._Saturator):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(rules, "_Saturator", CountingSaturator)
+        rng = random.Random(seed)
+        answers = {True: 0, False: 0}
+        for i in range(500):
+            universe = tuple("ABCDEF"[: self.SIZES[i % len(self.SIZES)]])
+            sigma = random_atom_set(rng, universe, (modality,), max_atoms=3)
+            if rng.random() < 0.25:  # an A _||_ A premise makes A constant
+                a = rng.choice(universe)
+                sigma.append(make_atom({a}, {a}, modality))
+            implied = closure(sigma, system, universe)
+            wide = sorted((a for a in implied if a.lhs and a.rhs), key=str)
+            goals = random_atom_set(rng, universe, (modality,), max_atoms=4)
+            for goal in goals + rng.sample(wide, min(2, len(wide))):
+                built.clear()
+                derivation = derives(sigma, goal, system)
+                assert (derivation is not None) == (goal in implied), (sigma, goal)
+                assert len(built) == (derivation is not None)
+                answers[derivation is not None] += 1
+        assert min(answers.values()) >= 500
+
+    def test_chain_beyond_the_saturation_limit(self):
+        # 13 attributes: a goal that is not derivable answers None at once,
+        # a derivable one still needs saturation, which refuses it
+        names = [f"A{i}" for i in range(13)]
+        chain = [make_atom(names[:k], [names[k]]) for k in range(2, 13)]
+        assert derives(chain, make_atom(["A0"], ["A1"]), SYSTEM_I) is None
+        with pytest.raises(SaturationLimitError):
+            derives(chain, make_atom(names[:2], names[2:]), SYSTEM_I)
 
 
 class TestValidation:
