@@ -8,8 +8,6 @@ from .atoms import (
     PLAIN,
     POSSIBLE,
     attributes_of,
-    ind,
-    ind_set,
     is_disjoint,
     is_pia_star,
     parse_atom,

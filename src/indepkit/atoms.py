@@ -59,21 +59,6 @@ class Atom:
         return f"Atom({render_atom(self)!r})"
 
 
-def ind(atom: Atom) -> Atom:
-    """Strip the modality: the underlying plain independence atom."""
-    if atom.modality == PLAIN:
-        return atom
-    return Atom(atom.lhs, atom.rhs, PLAIN)
-
-
-def ind_set(atoms: Iterable[Atom]) -> list[Atom]:
-    """Elementwise ``ind``, deduplicated in first-seen order."""
-    out: dict[Atom, None] = {}
-    for a in atoms:
-        out[ind(a)] = None
-    return list(out)
-
-
 def is_disjoint(atom: Atom) -> bool:
     return not (atom.lhs & atom.rhs)
 
@@ -174,8 +159,6 @@ __all__ = [
     "PLAIN",
     "POSSIBLE",
     "CERTAIN",
-    "ind",
-    "ind_set",
     "is_disjoint",
     "is_pia_star",
     "parse_atom",

@@ -19,7 +19,7 @@ import argparse
 import json
 import sys
 
-from .atoms import Atom, CERTAIN, PLAIN, POSSIBLE, parse_atom, parse_constraints, render_atom
+from .atoms import Atom, parse_atom, parse_constraints, render_atom
 from .constructions import (
     CnfFormula,
     cnf_to_relation,
@@ -34,13 +34,10 @@ from .implication import SearchBounds, implies, search_counterexample
 from .model_check import check_atom
 from .relation import Relation, domains_to_json, read_relation, relation_to_csv
 from .rules import (
-    SYSTEM_FULL,
-    SYSTEM_I,
-    SYSTEM_I_C,
-    SYSTEM_I_P,
     closure,
     derivation_to_json_list,
     derives,
+    fragment_of,
     render_derivation_text,
     system_by_name,
 )
@@ -139,24 +136,9 @@ def _read_constraints(path: str) -> list[Atom]:
         return parse_constraints(fh.read())
 
 
-def _pick_system(args: argparse.Namespace, premises, goal=None):
-    if args.system:
-        return system_by_name(args.system)
-    modalities = {a.modality for a in premises}
-    if goal is not None:
-        modalities.add(goal.modality)
-    if modalities <= {PLAIN}:
-        return SYSTEM_I
-    if modalities == {CERTAIN}:
-        return SYSTEM_I_C
-    if modalities == {POSSIBLE}:
-        return SYSTEM_I_P
-    return SYSTEM_FULL
-
-
 def _cmd_closure(args: argparse.Namespace) -> int:
     premises = _read_constraints(args.constraints)
-    system = _pick_system(args, premises)
+    system = system_by_name(args.system) if args.system else fragment_of(premises)[0]
     atoms = sorted(closure(premises, system, _split_names(args.universe)), key=render_atom)
     unicode_ops = _unicode_ok()
     lines = [f"{len(atoms)} atoms in the {system.name} closure"]
@@ -168,7 +150,7 @@ def _cmd_closure(args: argparse.Namespace) -> int:
 def _cmd_derive(args: argparse.Namespace) -> int:
     premises = _read_constraints(args.constraints)
     goal = parse_atom(args.atom)
-    system = _pick_system(args, premises, goal)
+    system = system_by_name(args.system) if args.system else fragment_of([*premises, goal])[0]
     derivation = derives(premises, goal, system)
     if derivation is None:
         lines = [f"{render_atom(goal, unicode_ops=_unicode_ok())}: not derivable in {system.name}"]

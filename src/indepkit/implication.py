@@ -7,10 +7,13 @@ procedure decides goals with a singleton side or near-equal side sizes, and
 for disjoint mixed sets a certain goal depends only on the certain premises.
 Everything outside these fragments is answered as derivability only (sound,
 not complete); for possible-only sets that is the containment procedure,
-which gives derivability in I_p without saturation.  ``implies`` picks the
-decider for a query's fragment and labels the answer.  The splitting and
-containment tests themselves live in ``rules``, whose ``derives`` asks them
-before it saturates.
+which gives derivability in I_p without saturation, and for mixed sets it
+is ``derives`` in the disjoint mixed or the full system.  ``implies`` looks
+a single-modality query up in the fragment table of ``rules``
+(``fragment_of``), runs its test and labels the answer with the route;
+``implies_ia``, ``implies_cia``, ``implies_pia_star`` and
+``implies_mixed_disjoint`` state the same decisions per fragment, with the
+fragment's precondition checked.
 
 ``search_counterexample`` hunts for a relation that satisfies every premise
 and violates the goal.  It checks the bounds, then asks the routes of
@@ -41,8 +44,6 @@ from .atoms import (
     POSSIBLE,
     attributes_of,
     check_same_modality,
-    ind,
-    ind_set,
     is_disjoint,
     is_pia_star,
     render_atom,
@@ -53,8 +54,10 @@ from .relation import NULL, Relation, Schema
 from .rules import (
     SYSTEM_DISJOINT_MIXED,
     SYSTEM_FULL,
+    SYSTEM_I_P,
     containment_test,
     derives,
+    fragment_of,
     splitting_test,
 )
 
@@ -92,17 +95,15 @@ def implies_cia(sigma: Iterable[Atom], goal: Atom) -> bool:
     """Implication among certain atoms: equivalent to the plain problem on
     the modality-stripped atoms."""
     premises = list(sigma)
-    check_same_modality(premises, CERTAIN, "implies_cia")
-    check_same_modality([goal], CERTAIN, "implies_cia")
-    return implies_ia(ind_set(premises), ind(goal))
+    check_same_modality([*premises, goal], CERTAIN, "implies_cia")
+    return splitting_test(premises, goal)
 
 
 def implies_pia_star(sigma: Iterable[Atom], goal: Atom) -> bool:
     """Implication among possible atoms for goals with a singleton side or
     side sizes within one, decided by the containment test."""
     premises = list(sigma)
-    check_same_modality(premises, POSSIBLE, "implies_pia_star")
-    check_same_modality([goal], POSSIBLE, "implies_pia_star")
+    check_same_modality([*premises, goal], POSSIBLE, "implies_pia_star")
     if not is_pia_star(goal):
         raise FragmentError(
             f"goal {render_atom(goal)!r} is outside the decidable possible "
@@ -129,8 +130,7 @@ def implies_mixed_disjoint(sigma: Iterable[Atom], goal: Atom) -> bool:
                 "is available outside the disjoint fragment"
             )
     if goal.modality == CERTAIN:
-        certain = [a for a in premises if a.modality == CERTAIN]
-        return implies_ia(ind_set(certain), ind(goal))
+        return splitting_test([a for a in premises if a.modality == CERTAIN], goal)
     return derives(premises, goal, SYSTEM_DISJOINT_MIXED) is not None
 
 
@@ -144,25 +144,23 @@ class ImplicationReport:
     route: str
 
 
+# rule system of a single-modality query -> the route its test decides
+_ROUTES = {"I": "closure-I", "I_c": "certain-as-plain", "I_p": "pia-star"}
+
+
 def _decide(premises: list[Atom], goal: Atom) -> ImplicationReport | None:
     """The report of every route that needs no saturation; None for the two
     saturating derivability routes and for plain atoms mixed with modal
     ones."""
-    modalities = {a.modality for a in premises} | {goal.modality}
-    if modalities == {PLAIN}:
-        return ImplicationReport(implies_ia(premises, goal), "complete", "closure-I")
-    if PLAIN in modalities:
-        return None
-    if modalities == {CERTAIN}:
-        verdict = implies_cia(premises, goal)
-        return ImplicationReport(verdict, "complete", "certain-as-plain")
-    if modalities == {POSSIBLE}:
-        if is_pia_star(goal):
-            return ImplicationReport(implies_pia_star(premises, goal), "complete", "pia-star")
-        verdict = containment_test(premises, goal)
-        return ImplicationReport(verdict, "sound-only", "derivability-I_p")
-    if goal.modality == CERTAIN and all(is_disjoint(a) for a in [*premises, goal]):
-        verdict = implies_mixed_disjoint(premises, goal)
+    atoms = [*premises, goal]
+    system, test = fragment_of(atoms)
+    if test is not None:
+        verdict = test(premises, goal)
+        if system is SYSTEM_I_P and not is_pia_star(goal):
+            return ImplicationReport(verdict, "sound-only", "derivability-I_p")
+        return ImplicationReport(verdict, "complete", _ROUTES[system.name])
+    if goal.modality == CERTAIN and all(a.modality != PLAIN and is_disjoint(a) for a in atoms):
+        verdict = splitting_test([a for a in premises if a.modality == CERTAIN], goal)
         return ImplicationReport(verdict, "complete", "certain-core")
     return None
 
@@ -182,11 +180,10 @@ def implies(sigma: Iterable[Atom], goal: Atom, sound_only: bool = False) -> Impl
             f"{render_atom(goal)!r} under these premises is outside the complete "
             "fragments; set sound_only (CLI: --sound-only) for a derivability answer"
         )
-    if all(is_disjoint(a) for a in [*premises, goal]):
-        verdict = implies_mixed_disjoint(premises, goal)
-        return ImplicationReport(verdict, "sound-only", "derivability-disjoint-mixed")
-    verdict = derives(premises, goal, SYSTEM_FULL) is not None
-    return ImplicationReport(verdict, "sound-only", "derivability-full")
+    disjoint = all(is_disjoint(a) for a in [*premises, goal])
+    system = SYSTEM_DISJOINT_MIXED if disjoint else SYSTEM_FULL
+    verdict = derives(premises, goal, system) is not None
+    return ImplicationReport(verdict, "sound-only", f"derivability-{system.name}")
 
 
 # -- bounded counterexample search ------------------------------------------

@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterable, Sequence
 
+from .atoms import CERTAIN, PLAIN
 from .errors import OracleInfeasibleError
 from .flow import Assignment, FlowNetwork, max_flow_assignment
 from .relation import NULL, Cell, Relation, Schema, relation_to_csv
@@ -650,12 +651,12 @@ def check_atom(r: Relation, atom, method: str = "auto") -> CheckReport:
     polynomial/search paths; ``oracle`` enumerates groundings."""
     if method not in ("auto", "oracle"):
         raise ValueError(f"unknown method {method!r}")
-    if atom.modality == "plain":
+    if atom.modality == PLAIN:
         return CheckReport(check_ia(r, atom.lhs, atom.rhs), METHOD_IA_DIRECT)
     if method == "oracle":
-        if atom.modality == "certain":
+        if atom.modality == CERTAIN:
             return cia_oracle_report(r, atom.lhs, atom.rhs)
         return check_pia_oracle(r, atom.lhs, atom.rhs)
-    if atom.modality == "certain":
+    if atom.modality == CERTAIN:
         return CheckReport(check_cia_fast(r, atom.lhs, atom.rhs), METHOD_CIA_FAST)
     return check_pia(r, atom.lhs, atom.rhs)

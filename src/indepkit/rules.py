@@ -11,10 +11,13 @@ conclusion.
 and conclusion modality.  A rule system is a set of ids from it, and
 saturation applies a system's rules in table order.
 
-Derivability in I, I_c and I_p is also decided without saturation, by the
-splitting test (I, and I_c on the same sides) and the containment test
-(I_p).  ``derives`` asks them first and saturates only for goals they find
-derivable, to extract the derivation; ``implication`` decides with them.
+``_FRAGMENTS`` is the one table of fragments: atoms of one modality have
+a rule system (I, I_c or I_p) and a test equal to derivability in it that
+needs no saturation, splitting (I, and I_c on the same sides) or
+containment (I_p).  ``fragment_of`` looks a query up in it.  ``derives``
+asks the test first and saturates only for goals it finds derivable, to
+extract the derivation; ``implication`` decides with the tests, and the CLI
+picks its default system from the table.
 """
 
 from __future__ import annotations
@@ -141,12 +144,25 @@ def containment_test(premises: list[Atom], goal: Atom) -> bool:
     return False
 
 
-# rule set -> (modality, test equal to derivability when every atom has it)
-_DECIDERS: Mapping[frozenset[str], tuple[Modality, Callable[[list[Atom], Atom], bool]]] = {
-    SYSTEM_I.rules: (PLAIN, splitting_test),
-    SYSTEM_I_C.rules: (CERTAIN, splitting_test),
-    SYSTEM_I_P.rules: (POSSIBLE, containment_test),
+_Test = Callable[[list[Atom], Atom], bool]
+
+# modality -> (its rule system, a test equal to derivability in that system
+# when every atom has the modality)
+_FRAGMENTS: Mapping[Modality, tuple[RuleSystem, _Test]] = {
+    PLAIN: (SYSTEM_I, splitting_test),
+    CERTAIN: (SYSTEM_I_C, splitting_test),
+    POSSIBLE: (SYSTEM_I_P, containment_test),
 }
+
+
+def fragment_of(atoms: Iterable[Atom]) -> tuple[RuleSystem, _Test | None]:
+    """The rule system and the saturation-free test of the atoms' one
+    modality; I when there are no atoms, and the full system with no test
+    when the modalities are mixed."""
+    modalities = {a.modality for a in atoms} or {PLAIN}
+    if len(modalities) > 1:
+        return SYSTEM_FULL, None
+    return _FRAGMENTS[modalities.pop()]
 
 
 def system_by_name(name: str) -> RuleSystem:
@@ -263,13 +279,13 @@ def derives(atoms: Iterable[Atom], goal: Atom, system: RuleSystem) -> Derivation
     derive it.  Non-derivability equals non-implication only on fragments
     with a proven complete axiomatisation.
 
-    On I, I_c and I_p, when every atom has the system's modality, None comes
-    from the splitting or containment test without saturating, so
-    ``SaturationLimitError`` is raised only for derivable goals there."""
+    When every atom has one modality and the system's rules are among that
+    modality's system (``fragment_of``), None comes from the fragment's test
+    without saturating, so ``SaturationLimitError`` is raised only for goals
+    derivable there."""
     premises = list(atoms)
-    modality, decide = _DECIDERS.get(system.rules, (None, None))
-    same = all(a.modality == modality for a in [*premises, goal])
-    if decide is not None and same and not decide(premises, goal):
+    fragment, test = fragment_of([*premises, goal])
+    if test is not None and system.rules <= fragment.rules and not test(premises, goal):
         return None
     sat = _Saturator(system, premises, attributes_of(premises) | goal.attributes)
     if not sat.run(goal):

@@ -12,8 +12,6 @@ from indepkit import (
     POSSIBLE,
     ParseError,
     Schema,
-    ind,
-    ind_set,
     is_disjoint,
     is_pia_star,
     parse_atom,
@@ -80,6 +78,8 @@ class TestParse:
             ("e _||_ s,,", "missing attribute name", 10),
             ("ab,a _||_ s", "unknown attribute 'a'", 4),
             ("e _||_ s, ab,a", "unknown attribute 'a'", 14),
+            ("e _||_ ", "empty attribute list", 7),
+            ("{e} _||_ s", "braces are only allowed", 1),
         ],
     )
     def test_error_points_at_the_name(self, text, message, column):
@@ -131,25 +131,6 @@ class TestRender:
 
     def test_unicode(self):
         assert render_atom(make_atom({"e"}, {"s"}, CERTAIN), unicode_ops=True) == "e ⊥c s"
-
-
-class TestInd:
-    def test_strips_certain(self):
-        assert ind(make_atom({"X"}, {"Y"}, CERTAIN)) == make_atom({"X"}, {"Y"})
-
-    def test_identity_on_plain(self):
-        atom = make_atom({"X"}, {"Y"})
-        assert ind(atom) is atom
-        assert ind(ind(make_atom({"X"}, {"Y"}, POSSIBLE))) == make_atom({"X"}, {"Y"})
-
-    def test_elementwise_on_sets_may_shrink(self):
-        atoms = [
-            make_atom({"X"}, {"Y"}, CERTAIN),
-            make_atom({"X"}, {"Y"}, POSSIBLE),
-        ]
-        stripped = ind_set(atoms)
-        assert stripped == [make_atom({"X"}, {"Y"})]
-        assert len(stripped) <= len(atoms)
 
 
 class TestShape:

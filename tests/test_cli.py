@@ -2,19 +2,24 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 import time
 from pathlib import Path
 
 import pytest
 
 from indepkit import (
+    ParseError,
+    SchemaError,
     check_atom,
     check_ia,
     cli,
     constructions,
+    exchange_failure_groundings,
     parse_atom,
     read_relation,
     relation_from_csv,
+    relation_to_csv,
 )
 from indepkit.cli import main
 
@@ -117,6 +122,36 @@ class TestCheck:
         assert "domain of 'B' holds ''" in err
 
 
+    @pytest.mark.parametrize(
+        "text, domains, error, message",
+        [
+            ("", None, ParseError, "empty relation file"),
+            ("#count\n", None, ParseError, "relation file has no attribute columns"),
+            ("A,#count\n0,1\n1,0\n", None, ParseError, "line 3: multiplicity must be positive"),
+            ("A,B\n0,1\n", '["A", "B"]', ParseError, "domain file must be a JSON object"),
+            ("A,B\n0,1\n", '{"A": ["0", 1], "B": ["0", "1"]}', ParseError,
+             "domain of 'A' must be an array of strings"),
+            ("A,B\n0,1\n", '{"A": ["0", "1"]}', SchemaError, "no domain given for B"),
+        ],
+        ids=["empty", "count-column-only", "zero-multiplicity", "domains-list",
+             "domain-value-not-a-string", "domain-missing"],
+    )
+    def test_unreadable_relation_is_a_typed_error(self, capsys, tmp_path, text, domains,
+                                                  error, message):
+        path = tmp_path / "r.csv"
+        path.write_text(text)
+        argv = ["check", str(path), "A _||_ B"]
+        domains_path = None
+        if domains is not None:
+            domains_path = tmp_path / "r.domains.json"
+            domains_path.write_text(domains)
+            argv += ["--domains", str(domains_path)]
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            read_relation(str(path), domains_path and str(domains_path))
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 class TestImplies:
     def test_certain_triple(self, capsys):
         code, out, _ = run(
@@ -194,6 +229,24 @@ class TestClosureAndDerive:
         assert code == 2 and out == ""
         assert "saturation limit of 12" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "sigma, goal, system",
+        [
+            ("A _||_ B\nA,B _||_ C\n", "A _||_ B,C", "I"),
+            ((DATA / "sigma_possible.txt").read_text(), "e _||_p s", "I_p"),
+            ((DATA / "sigma_mixed.txt").read_text(), "e _||_p s,g", "full"),
+        ],
+        ids=["plain", "possible", "mixed"],
+    )
+    def test_default_system_is_the_fragments(self, capsys, tmp_path, sigma, goal, system):
+        path = tmp_path / "sigma.txt"
+        path.write_text(sigma)
+        code, out, _ = run(capsys, "closure", str(path), "--json")
+        assert code == 0 and json.loads(out)["system"] == system
+        code, out, _ = run(capsys, "derive", str(path), goal, "--json")
+        payload = json.loads(out)
+        assert code == 0 and (payload["system"], payload["derivable"]) == (system, True)
+
     def test_derive_prints_tree(self, capsys):
         code, out, _ = run(
             capsys, "derive", str(DATA / "sigma_deduction.txt"), "r,s,g _||_p e"
@@ -256,6 +309,25 @@ class TestWitnessAndCnf:
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == ""
         assert "more than 65536 distinct rows" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("grounding", [1, 2])
+    def test_exchange_failure_grounding(self, capsys, grounding):
+        code, out, _ = run(capsys, "witness", "exchange-failure", "--grounding", str(grounding))
+        assert code == 0
+        assert out == relation_to_csv(exchange_failure_groundings()[grounding - 1])
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["pia-family", "--m", "2"], "pia-family needs --k and --m"),
+            (["parity", "--x", "A"], "parity needs --x and --y attribute lists"),
+            (["constancy", "--attr", "B", "--universe", "A"], "'B' must be part of the universe"),
+        ],
+        ids=["pia-family-without-k", "parity-without-y", "constancy-attr-outside"],
+    )
+    def test_witness_missing_setting_exits_2(self, capsys, argv, message):
+        code, out, err = run(capsys, "witness", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_unknown_witness_name(self, capsys):
         code, _, err = run(capsys, "witness", "nope")

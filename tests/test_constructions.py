@@ -232,6 +232,8 @@ class TestCnf:
             CnfFormula(1, ((),))
         with pytest.raises(ValueError):
             CnfFormula(1, ((2,),))
+        with pytest.raises(ValueError, match="^variable count must be non-negative$"):
+            CnfFormula(-1, ())
 
     def test_dimacs_round_trip(self):
         phi = CnfFormula(3, ((2, 3), (1, -2, 3), (-3,)))

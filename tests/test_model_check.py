@@ -212,6 +212,10 @@ class TestOracles:
         assert check_ia(report.witness, {"e"}, {"s"})
         assert check_pia_oracle(table1, {"r"}, {"r"}).verdict
 
+    def test_unknown_method_rejected(self, table1):
+        with pytest.raises(ValueError, match="^unknown method 'x'$"):
+            check_atom(table1, parse_atom("e _||_p s"), method="x")
+
     def test_complete_relation_oracles_match_direct(self, world1):
         for x, y in [({"e"}, {"s"}), ({"a"}, {"g"}), ({"e", "s"}, {"g"})]:
             direct = check_ia(world1, x, y)

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
 import random
+import re
 
 import pytest
 
 from indepkit import (
     CERTAIN,
+    Derivation,
     PLAIN,
     POSSIBLE,
     RuleSystem,
@@ -50,6 +53,25 @@ class TestSystems:
         assert system_by_name("I_p") is SYSTEM_I_P
         with pytest.raises(ValueError):
             system_by_name("bogus")
+
+    def test_unknown_rule_id_rejected(self):
+        with pytest.raises(ValueError, match="^unknown rules: Z$"):
+            RuleSystem("bad", frozenset({"S", "Z"}))
+
+    @pytest.mark.parametrize(
+        "texts, system, test",
+        [
+            ([], SYSTEM_I, rules.splitting_test),
+            (["A _||_ B", "B _||_ A"], SYSTEM_I, rules.splitting_test),
+            (["A _||_c B"], SYSTEM_I_C, rules.splitting_test),
+            (["A _||_p B", "A,B _||_p C"], SYSTEM_I_P, rules.containment_test),
+            (["A _||_c B", "A _||_p B"], SYSTEM_FULL, None),
+            (["A _||_ B", "A _||_c B"], SYSTEM_FULL, None),
+        ],
+        ids=["none", "plain", "certain", "possible", "certain-possible", "plain-certain"],
+    )
+    def test_fragment_of_a_query(self, texts, system, test):
+        assert rules.fragment_of(atoms(*texts)) == (system, test)
 
 
 class TestClosure:
@@ -185,22 +207,35 @@ class TestDerivesWithoutSaturation:
         assert derives(chain, make_atom(["A0"], ["A1"]), SYSTEM_I) is None
         with pytest.raises(SaturationLimitError):
             derives(chain, make_atom(names[:2], names[2:]), SYSTEM_I)
+        # what a subset of I derives, I derives, so the test answers for it
+        # too; the full system is not among I's rules and saturates
+        no_exchange = RuleSystem("I-E", SYSTEM_I.rules - {"E"})
+        assert derives(chain, make_atom(["A0"], ["A1"]), no_exchange) is None
+        with pytest.raises(SaturationLimitError):
+            derives(chain, make_atom(["A0"], ["A1"]), SYSTEM_FULL)
 
 
 class TestValidation:
-    def test_tampered_derivation_rejected(self):
+    @pytest.mark.parametrize(
+        "index, change, message",
+        [
+            (1, {"atom": parse_atom("B _||_c B")}, "step 1: B _||_c B does not follow by S_c"),
+            (0, {"atom": parse_atom("A _||_c C")}, "step 0: not a premise: A _||_c C"),
+            (1, {"premises": (1,)}, "step 1: forward reference"),
+            (1, {"premises": (0, 0)}, "step 1: S_c takes 1 premises"),
+            (1, {"rule": "S_p"}, "step 1: premise modality mismatch"),
+            (1, {"atom": parse_atom("B _||_p A")}, "step 1: conclusion modality mismatch"),
+        ],
+        ids=["does-not-follow", "not-a-premise", "forward-reference", "premise-count",
+             "premise-modality", "conclusion-modality"],
+    )
+    def test_tampered_derivation_rejected(self, index, change, message):
+        # the derivation is: A _||_c B [premise], then B _||_c A [S_c of step 0]
         sigma = atoms("A _||_c B")
-        derivation = derives(sigma, parse_atom("B _||_c A"), SYSTEM_I_C)
-        bad_steps = derivation.steps[:-1] + (
-            type(derivation.steps[-1])(
-                atom=parse_atom("B _||_c B"),
-                rule="S_c",
-                premises=derivation.steps[-1].premises,
-            ),
-        )
-        bad = type(derivation)(bad_steps)
-        with pytest.raises(ValueError):
-            validate_derivation(bad, SYSTEM_I_C, sigma)
+        steps = list(derives(sigma, parse_atom("B _||_c A"), SYSTEM_I_C).steps)
+        steps[index] = dataclasses.replace(steps[index], **change)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            validate_derivation(Derivation(tuple(steps)), SYSTEM_FULL, sigma)
 
     def test_rule_outside_system_rejected(self):
         sigma = atoms("A _||_ B", "A,B _||_ C")
