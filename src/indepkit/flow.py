@@ -1,10 +1,10 @@
 """Assignment of unit-demand items to slots of integral capacity.
 
-This is the one matching kernel of the package: the unary possible-atom
-decider assigns missing product cells to null pools, and the support search
-assigns support pairs to tuple copies.  Both are bipartite max-flow problems
-whose source edges carry one unit per item, so augmenting paths alternate
-between items and slots and need no general flow network.
+This is the one matching kernel of the package: the unary possible-atom decider
+assigns missing product cells to null pools, and the support search assigns
+support pairs to the copies of distinct patterns.  Both are bipartite max-flow
+problems whose source edges carry one unit per item, so augmenting paths
+alternate between items and slots and need no general flow network.
 
 ``Assignment`` places items one at a time and removes them last in, first
 out, which is what the support search needs as its support sets grow and

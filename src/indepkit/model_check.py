@@ -17,20 +17,21 @@ fast path:
   copy from a null pool ``(a, *)``, ``(*, b)`` or ``(*, *)``;
 * other possible atoms run a depth-first search over candidate support
   sets, pruned by a counting bound and by assigning support pairs to tuple
-  copies.  The search keeps its state across nodes: each row's matching
-  support values, the rows still to cover, and the assignment.  A node adds
+  copies.  The search keeps its state across nodes: each slot's matching
+  support values, the slots still to cover, and the assignment.  A node adds
   one support value, the pairs it forms and one augmenting path per pair;
   leaving the node pops them again, which needs no journal because every
   remaining pair still sits on a copy it may take.
 
-Both assignments run on the one kernel in ``indepkit.flow``.  The constancy
-rule, both assignments and the oracle pass their witness as (row, copies)
-parts to ``write_witness``, which fills each remaining null once and merges
-equal rows.  Each checker resolves its atom's attributes to column positions
-once; the steps below it take positions, and each projects the relation once
-onto its atom's columns and decides over the distinct patterns (``_patterns``).
-Multiplicities are read only where a verdict depends on them: the unary
-pools, the search's tuple copies, and whether a certain atom has two.
+Both assignments run on the one kernel in ``indepkit.flow``, on the distinct
+patterns on X'∪Y' with their copy counts (``_weights``).  The constancy rule,
+both assignments (through ``_hand_back``) and the oracle pass their witness as
+(row, copies) parts to ``write_witness``, which fills each remaining null once
+and merges equal rows.  Each checker resolves its atom's attributes to column
+positions once; the steps below it take positions, and each projects the
+relation once onto its atom's columns and decides over the distinct patterns
+(``_patterns``).  Multiplicities are read only where a verdict depends on them:
+the unary pools, the search's slots, and whether a certain atom has two.
 """
 
 from __future__ import annotations
@@ -107,6 +108,36 @@ def _project(rows: Sequence[Sequence[str]], cols: tuple[int, ...]) -> Iterable[t
 def _patterns(rows: Sequence[Sequence[str]], cols: tuple[int, ...]) -> dict[tuple, None]:
     """The rows' distinct tuples on the columns, in first-occurrence order."""
     return dict.fromkeys(_project(rows, cols))
+
+
+def _weights(r: Relation, cols: tuple[int, ...]) -> dict[tuple, int]:
+    """``_patterns`` of the relation's rows, each with its summed copy count."""
+    weights: dict[tuple, int] = {}
+    for key, count in zip(_project(r.rows, cols), r.counts):
+        weights[key] = weights.get(key, 0) + count
+    return weights
+
+
+def _hand_back(r: Relation, cols: tuple[int, ...], hosted: dict, rest: dict) -> list:
+    """The witness's (row, copies) parts: each pattern on the columns pops its
+    hosted values, last first, onto its rows' copies in row order, one per copy;
+    its other copies take its ``rest`` value, or stay unchanged if none has one."""
+
+    def put(row: Sequence[str], value: tuple) -> list[str]:
+        new = list(row)
+        for j, v in zip(cols, value):
+            new[j] = v
+        return new
+
+    parts: list[tuple[Sequence[str], int]] = []
+    for key, row, count in zip(_project(r.rows, cols), r.rows, r.counts):
+        values = hosted.get(key)
+        while values and count:
+            parts.append((put(row, values.pop()), 1))
+            count -= 1
+        if count:
+            parts.append((put(row, rest[key]) if rest else row, count))
+    return parts
 
 
 def _is_product(patterns: dict[tuple, None], o: int, n: int) -> bool:
@@ -335,25 +366,18 @@ class ProductNetwork(FlowNetwork):
     b_values: tuple[str, ...]
 
 
-def build_flow_network(r: Relation, ia: int, ib: int) -> ProductNetwork:
-    """Assignment network for a unary possible atom on columns ia and ib.
-    The items are the cells of the product of the non-null values of the two
-    columns that no complete tuple covers; the slots are the null pools
-    ``(va, *)``, ``(*, vb)`` and ``(*, *)``, each holding its tuple copies.
-    A cell may take a copy from its row pool, its column pool or the
-    wildcard pool.  One pass over the rows collects the value pairs, and
-    with them each column's values."""
-    if ia == ib:
-        raise ValueError("two distinct columns are required")
-    pairs: dict[tuple, int] = {}
-    for key, count in zip(_project(r.rows, (ia, ib)), r.counts):
-        pairs[key] = pairs.get(key, 0) + count
+def build_flow_network(pairs: dict[tuple, int], names: tuple[str, str]) -> ProductNetwork:
+    """Assignment network for a unary possible atom from the copy counts of its
+    columns' value pairs, the columns named ``names`` in errors.  The items are
+    the cells of the product of the non-null values of the two columns that no
+    complete tuple covers; the slots are the null pools ``(va, *)``, ``(*, vb)``
+    and ``(*, *)``, each holding its tuple copies.  A cell may take a copy from
+    its row pool, its column pool or the wildcard pool."""
     # a value's first pair comes no later than its first row
     avals = tuple(dict.fromkeys(va for va, _ in pairs if va is not NULL))
     bvals = tuple(dict.fromkeys(vb for _, vb in pairs if vb is not NULL))
     if not avals or not bvals:
-        empty = r.schema.attributes[ib if avals else ia]
-        raise ValueError(f"column {empty!r} has no non-null value")
+        raise ValueError(f"column {names[bool(avals)]!r} has no non-null value")
     pools = {key: n for key, n in pairs.items() if key[0] is NULL or key[1] is NULL}
     slot_index = {key: s for s, key in enumerate(pools)}
     cells = [(va, vb) for va in avals for vb in bvals if (va, vb) not in pairs]
@@ -371,9 +395,9 @@ def _pooled_assignment(r: Relation, ia: int, ib: int, fixed: dict[int, str]) -> 
     """A core of two single columns that the constancy rule left open holds
     exactly when every product cell of their non-null values that no
     complete tuple covers takes a distinct copy from a null pool able to
-    ground to it.  The network reads only the two columns, so the pins of
-    the shared columns go to the witness alone."""
-    network = build_flow_network(r, ia, ib)
+    ground to it.  The network reads only the two columns' value pairs, so
+    the pins of the shared columns go to the witness alone."""
+    network = build_flow_network(_weights(r, (ia, ib)), itemgetter(ia, ib)(r.schema.attributes))
     avals, bvals = network.a_values, network.b_values
     assignment = max_flow_assignment(network)
     stats = {"target": len(avals) * len(bvals), "missing": len(network.items)}
@@ -385,16 +409,7 @@ def _pooled_assignment(r: Relation, ia: int, ib: int, fixed: dict[int, str]) -> 
     cells_of: dict[tuple, list[tuple[str, str]]] = {}
     for cell, slot in zip(network.items, assignment):
         cells_of.setdefault(network.slots[slot], []).append(cell)
-    parts: list[tuple[Sequence[str], int]] = []
-    for row, count in zip(r.rows, r.counts):
-        cells = cells_of.get((row[ia], row[ib]))
-        while cells and count:
-            new = list(row)
-            new[ia], new[ib] = cells.pop()
-            parts.append((new, 1))
-            count -= 1
-        if count:
-            parts.append((row, count))
+    parts = _hand_back(r, (ia, ib), cells_of, {})
     witness = write_witness(r.schema, parts, {**fixed, ia: avals[0], ib: bvals[0]})
     return CheckReport(True, METHOD_PIA_FLOW, stats=stats, witness=witness)
 
@@ -419,18 +434,17 @@ def _counting_bound(size: int, patterns: dict[tuple, None], o: int, n: int) -> b
 
 
 class _Side:
-    """One side of the support search: its support values, the rows each
-    value matches, and for each row the indices of the values it matches.
+    """One side of the support search: its support values, the slots each
+    value matches, and for each slot the indices of the values it matches.
 
-    Rows are grouped by their pattern on the side's columns.  A value matches
-    the patterns got by blanking it at each null-mask that occurs, so pushing
-    a value looks those patterns up instead of scanning the rows."""
+    Slots are grouped by their pattern on the side's columns.  A value
+    matches the patterns got by blanking it at each null-mask that occurs,
+    so pushing a value looks those patterns up instead of scanning the slots."""
 
-    def __init__(self, r: Relation, cols: tuple[int, ...]):
-        self.cols = cols
-        self.patterns = list(_project(r.rows, cols))
+    def __init__(self, patterns: list[tuple], domains: Sequence[tuple[str, ...]]):
+        self.patterns = patterns
         self.groups: dict[tuple, list[int]] = {}
-        for i, pattern in enumerate(self.patterns):
+        for i, pattern in enumerate(patterns):
             self.groups.setdefault(pattern, []).append(i)
         # A null cell may take the values its column shows, or its first
         # domain value when it shows none.  Unshown values are never needed:
@@ -438,32 +452,32 @@ class _Side:
         # every unshown value of a witness's column to one shown value keeps
         # its non-null cells and maps a product support to a product.
         shown = [tuple(v for v in dict.fromkeys(c) if v is not NULL) for c in zip(*self.groups)]
-        self.cand = [values or r.schema.domains[j][:1] for j, values in zip(cols, shown)]
+        self.cand = [values or dom[:1] for dom, values in zip(domains, shown)]
         self.masks = list(dict.fromkeys(tuple(v is NULL for v in p) for p in self.groups))
-        # how many extensions a row's pattern has: its branching score
+        # how many extensions a slot's pattern has: its branching score
         self.scores = [
             math.prod(len(c) if v is NULL else 1 for v, c in zip(p, self.cand))
-            for p in self.patterns
+            for p in patterns
         ]
         self.values: list[tuple[str, ...]] = []
-        self.rows_of: list[set[int]] = []
-        self.opts: list[list[int]] = [[] for _ in self.patterns]
+        self.slots_of: list[set[int]] = []
+        self.opts: list[list[int]] = [[] for _ in patterns]
 
     def push(self, value: tuple[str, ...]) -> set[int]:
-        """Add a support value; returns the rows it matches, whose option
+        """Add a support value; returns the slots it matches, whose option
         lists the caller extends."""
-        rows: set[int] = set()
+        slots: set[int] = set()
         for mask in self.masks:
             key = tuple(NULL if blank else v for v, blank in zip(value, mask))
-            rows.update(self.groups.get(key, ()))
+            slots.update(self.groups.get(key, ()))
         self.values.append(value)
-        self.rows_of.append(rows)
-        return rows
+        self.slots_of.append(slots)
+        return slots
 
     def pop(self) -> set[int]:
-        """Remove the newest support value; returns the rows it matched."""
+        """Remove the newest support value; returns the slots it matched."""
         self.values.pop()
-        return self.rows_of.pop()
+        return self.slots_of.pop()
 
     def extensions(self, i: int):
         choices = [(v,) if v is not NULL else c for v, c in zip(self.patterns[i], self.cand)]
@@ -474,45 +488,45 @@ class _PiaSearch:
     """Depth-first search for a grounding with cross-product support.
 
     The state is a pair of candidate support sets (one per side).  Complete
-    side-tuples force initial members; a row that no current value matches
-    on a side branches over its possible groundings there, fewest first; an
-    assignment of support pairs to tuple copies prunes states that cannot
-    cover the product (supersets only add pairs, so infeasibility is final).
+    side-tuples force initial members; a slot (a distinct pattern on X'∪Y',
+    holding its rows' copies) that no current value matches on a side branches
+    over its possible groundings there, fewest first; an assignment of support
+    pairs to the slots' copies prunes states that cannot cover the product
+    (supersets only add pairs, so infeasibility is final).
 
     The state is kept incrementally, so a node costs what its new support
     value adds.  Pushing a value adds its index to the option lists of the
-    rows it matches and updates ``open``, the sorted branch keys of the rows
-    still lacking a value on a side.  Visiting the new state adds only the
-    pairs the value forms with the other side, each hosted by the rows both
-    of its values match and placed by one augmenting path.  Leaving a state
-    undoes it without a journal: popping its pairs frees their copies and
-    leaves every other pair on a copy it may take, and popping its value
+    slots it matches and updates ``open``, the sorted branch keys of the
+    slots still lacking a value on a side.  Visiting the new state adds only
+    the pairs the value forms with the other side, each hosted by the slots
+    both of its values match and placed by one augmenting path.  Leaving a
+    state undoes it without a journal: popping its pairs frees their copies
+    and leaves every other pair on a copy it may take, and popping its value
     reverses the option lists.  A state reached twice is explored twice:
     its subtree depends only on its support sets, so the second visit fails
-    as the first did.  ``result`` holds the witness's (row, copies) parts,
-    grounded on the two sides only."""
+    as the first did.  ``result`` holds, for ``_hand_back``, each pattern's
+    hosted X'Y'-values and the value of its other copies."""
 
-    def __init__(self, r: Relation, x_cols: tuple[int, ...], y_cols: tuple[int, ...]):
-        self.rows = r.rows
-        self.counts = r.counts
-        self.total = r.size
-        self.x = _Side(r, x_cols)
-        self.y = _Side(r, y_cols)
+    def __init__(self, weights: dict[tuple, int], domains: list, n: int):
+        self.patterns = list(weights)
+        self.total = sum(weights.values())
+        self.x = _Side([p[:n] for p in self.patterns], domains[:n])
+        self.y = _Side([p[n:] for p in self.patterns], domains[n:])
         self.sides = (self.x, self.y)
-        self.assignment = Assignment(r.counts)
+        self.assignment = Assignment(list(weights.values()))
         self.pairs: list[tuple[int, int]] = []
-        # (extension count, row, side) of each row that no value matches on
-        # x, or else on y; the first entry is the branch
+        # (extension count, slot, side) of each slot that no value matches
+        # on x, or else on y; the first entry is the branch
         self.open = sorted((score, i, 0) for i, score in enumerate(self.x.scores))
         self.nodes = 0
         self.augmentations = 0
-        self.result: list[tuple[list[str], int]] | None = None
+        self.result: tuple[dict[tuple, list[tuple]], dict[tuple, tuple]] | None = None
         for s, side in enumerate(self.sides):
             for value in [p for p in side.groups if NULL not in p]:
                 self._push(s, value)
 
     def _key(self, i: int):
-        """Row i's entry in ``open``, or None once both sides match it."""
+        """Slot i's entry in ``open``, or None once both sides match it."""
         if not self.x.opts[i]:
             return self.x.scores[i], i, 0
         if not self.y.opts[i]:
@@ -589,33 +603,19 @@ class _PiaSearch:
         placed = 0
         for ku, kw in new:
             self.augmentations += 1
-            if not self.assignment.add(x.rows_of[ku] & y.rows_of[kw]):
+            if not self.assignment.add(x.slots_of[ku] & y.slots_of[kw]):
                 return placed, None
             self.pairs.append((ku, kw))
             placed += 1
         if not self.open:
-            self.result = self._witness_parts()
+            hosted: dict[tuple, list[tuple]] = {}
+            for (ku, kw), i in zip(self.pairs, self.assignment.slot_of):
+                hosted.setdefault(self.patterns[i], []).append(x.values[ku] + y.values[kw])
+            rest = [x.values[u[0]] + y.values[w[0]] for u, w in zip(x.opts, y.opts)]
+            self.result = hosted, dict(zip(self.patterns, rest))
             return placed, None
         _, i, b = self.open[0]
         return placed, (b, self.sides[b].extensions(i))
-
-    def _witness_parts(self) -> list[tuple[list[str], int]]:
-        """The witness's (row, copies) parts: each hosted copy of row i
-        carries its pair, and the rest of row i the first pair it may take."""
-        x, y = self.x, self.y
-        hosted: list[list[tuple[int, int]]] = [[] for _ in self.rows]
-        for pair, i in zip(self.pairs, self.assignment.slot_of):
-            hosted[i].append(pair)
-        parts: list[tuple[list[str], int]] = []
-        for i, (row, count) in enumerate(zip(self.rows, self.counts)):
-            rest = count - len(hosted[i])
-            others = [((x.opts[i][0], y.opts[i][0]), rest)] if rest else []
-            for (ku, kw), c in [(pair, 1) for pair in hosted[i]] + others:
-                new = list(row)
-                for j, v in zip(x.cols + y.cols, x.values[ku] + y.values[kw]):
-                    new[j] = v
-                parts.append((new, c))
-        return parts
 
 
 def check_pia(r: Relation, x: Iterable[str], y: Iterable[str]) -> CheckReport:
@@ -634,12 +634,12 @@ def check_pia(r: Relation, x: Iterable[str], y: Iterable[str]) -> CheckReport:
     if not _counting_bound(r.size, patterns, len(oi), len(oi) + len(xi)):
         return CheckReport(False, METHOD_PIA_SEARCH, stats={"nodes": 0, "counting_bound": True})
 
-    search = _PiaSearch(r, xi, yi)
+    search = _PiaSearch(_weights(r, xi + yi), [r.schema.domains[j] for j in xi + yi], len(xi))
     found = search.run()
     stats = {"nodes": search.nodes, "augmentations": search.augmentations}
     if not found:
         return CheckReport(False, METHOD_PIA_SEARCH, stats=stats)
-    witness = write_witness(r.schema, search.result, fixed)
+    witness = write_witness(r.schema, _hand_back(r, xi + yi, *search.result), fixed)
     return CheckReport(True, METHOD_PIA_SEARCH, stats=stats, witness=witness)
 
 

@@ -31,7 +31,9 @@ from indepkit import (
 from indepkit.model_check import (
     ORACLE_BOUND,
     _PiaSearch,
+    _hand_back,
     _pooled_assignment,
+    _weights,
     check_pia_oracle,
     check_pia_unary,
     cia_oracle_report,
@@ -66,12 +68,15 @@ class _Colliding(str):
         return 0
 
 
-def search(r: Relation, x, y) -> _PiaSearch:
+def search(r: Relation, x, y) -> tuple[_PiaSearch, Relation | None]:
     """The support search run on its own over disjoint sides, past the
-    constancy rule that answers constant sides in ``check_pia``."""
-    engine = _PiaSearch(r, r.schema.indices(x), r.schema.indices(y))
-    engine.run()
-    return engine
+    constancy rule that answers constant sides in ``check_pia``, with the
+    witness it finds, or None."""
+    xi, yi = r.schema.indices(x), r.schema.indices(y)
+    engine = _PiaSearch(_weights(r, xi + yi), [r.schema.domains[j] for j in xi + yi], len(xi))
+    if not engine.run():
+        return engine, None
+    return engine, write_witness(r.schema, _hand_back(r, xi + yi, *engine.result), {})
 
 
 def colliding(r: Relation) -> Relation:
@@ -443,16 +448,16 @@ class TestPiaSearch:
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(depth + 60)
         try:
-            engine = search(r, {"A", "B"}, {"C", "D"})
+            engine, witness = search(r, {"A", "B"}, {"C", "D"})
         finally:
             sys.setrecursionlimit(limit)
         assert engine.result is not None and engine.nodes == 121
-        assert check_ia(write_witness(r.schema, engine.result, {}), {"A", "B"}, {"C", "D"})
+        assert check_ia(witness, {"A", "B"}, {"C", "D"})
 
     def test_search_on_2000_rows_visits_one_node_per_row(self):
         # rows a_i,*,0,0: the support search adds one element per row, so
         # its cost per node must not grow with the rows already covered
-        engine = search(ladder(2000), {"A", "B"}, {"C", "D"})
+        engine, _ = search(ladder(2000), {"A", "B"}, {"C", "D"})
         assert engine.result is not None and engine.nodes == 2001
 
     @pytest.mark.parametrize("clash", [False, True], ids=["own-digests", "one-digest"])
@@ -474,14 +479,40 @@ class TestPiaSearch:
             # every value hashes alike, so the support search must tell
             # patterns apart by equality alone
             r = colliding(r)
-        engine = search(r, x, y)
+        engine, witness = search(r, x, y)
         assert (engine.result is not None, engine.nodes) == (verdict, nodes)
         report = check_pia(r, x, y)
         assert report.verdict == verdict
         if verdict:
-            assert check_ia(write_witness(r.schema, engine.result, {}), x, y)
+            assert check_ia(witness, x, y)
             assert check_ia(report.witness, x, y)
             assert report.witness.size == r.size
+
+    @pytest.mark.parametrize(
+        "instance, spread, verdict, nodes",
+        [(criterion_6_instance, 60, True, 8), (revisiting_instance, 300, False, 14)],
+        ids=["criterion-6", "revisit"],
+    )
+    def test_rows_equal_on_the_atom_share_one_slot(self, instance, spread, verdict, nodes):
+        # every tuple copy, times ``spread``, becomes its own row, told apart
+        # by a column Z that the atom does not name: 2,000-2,500 rows whose
+        # copies merge into one slot per distinct pattern on X'∪Y'
+        base, x, y = instance()
+        z = tuple(f"z{k}" for k in range(max(base.counts) * spread))
+        schema = Schema(base.schema.attributes + ("Z",), base.schema.domains + (z,))
+        rows = [row + (v,) for row, c in zip(base.rows, base.counts) for v in z[: c * spread]]
+        r = Relation.from_rows(schema, rows)
+        cols = r.schema.indices(x) + r.schema.indices(y)
+        distinct = {tuple(row[j] for j in cols) for row in r.rows}
+        assert len(r.rows) > 2000 and len(distinct) <= len(base.rows)
+        engine, witness = search(r, x, y)
+        assert len(engine.patterns) == len(engine.x.opts) == len(distinct)
+        assert (engine.result is not None, engine.nodes) == (verdict, nodes)
+        report = check_pia(r, x, y)
+        assert (report.verdict, report.method, report.stats["nodes"]) == (verdict, "pia_search", nodes)
+        for w in (witness, report.witness) if verdict else ():
+            assert w.size == r.size and is_grounding(r, w)
+            assert check_ia(w, x, y) and ia_by_definition(w, x, y)
 
     def test_backtracking_leaves_a_consistent_assignment(self):
         r, x, y = backtracking_instance()
@@ -493,7 +524,7 @@ class TestPiaSearch:
         assert is_grounding(r, report.witness)
 
     def test_each_ladder_node_runs_one_augmenting_path(self):
-        engine = search(ladder(20), {"A", "B"}, {"C", "D"})
+        engine, _ = search(ladder(20), {"A", "B"}, {"C", "D"})
         assert (engine.nodes, engine.augmentations) == (21, 20)
 
     def test_agrees_with_oracle_on_random_instances(self):
@@ -596,11 +627,10 @@ class TestTwoExactRoutes:
                 for _ in range(rng.randint(100, 400))
             ]
             r = Relation.from_rows(Schema(("A", "B"), domains), rows)
-            search = _PiaSearch(r, (0,), (1,))
-            found = search.run()
+            engine, witness = search(r, {"A"}, {"B"})
+            found = engine.result is not None
             assert _pooled_assignment(r, 0, 1, {}).verdict == found, r
             if found:
-                witness = write_witness(r.schema, search.result, {})
                 assert check_ia(witness, {"A"}, {"B"}) and is_grounding(r, witness)
             verdicts.append(found)
         assert 0 < sum(verdicts) < len(verdicts)
@@ -739,8 +769,9 @@ class TestStructuralProperties:
 
 class TestMetamorphicRelations:
     """Row order, per-column value relabelling, attribute renaming, one more
-    copy of a complete row, and a CSV write and read with the schema's
-    domains leave every verdict unchanged."""
+    copy of a complete row, a CSV write and read with the schema's domains,
+    and every tuple copy as its own row, told apart by a new column that no
+    atom names, leave every verdict unchanged."""
 
     @staticmethod
     def variants(rng: random.Random, r: Relation):
@@ -765,6 +796,11 @@ class TestMetamorphicRelations:
             extra = rng.choice(complete)
             yield Relation.from_rows(r.schema, r.rows + (extra,), r.counts + (1,)), same
         yield relation_from_csv(relation_to_csv(r), dict(zip(attrs, domains))), same
+        # rows that merge on the atom's columns but not on the whole schema
+        tags = tuple(f"c{k}" for k in range(max(r.size, 2)))
+        copies = [row for row, c in zip(r.rows, r.counts) for _ in range(c)]
+        tagged = Schema(attrs + ("copy",), domains + (tags,))
+        yield Relation.from_rows(tagged, [row + (t,) for row, t in zip(copies, tags)]), same
 
     def test_transformations_keep_every_verdict(self):
         # the grounding cap keeps every oracle call within its bound
