@@ -151,19 +151,3 @@ def check_same_modality(atoms: Iterable[Atom], modality: Modality, what: str) ->
             raise FragmentError(
                 f"{what} expects {modality} atoms, got {render_atom(a)!r}"
             )
-
-
-__all__ = [
-    "Atom",
-    "Modality",
-    "PLAIN",
-    "POSSIBLE",
-    "CERTAIN",
-    "is_disjoint",
-    "is_pia_star",
-    "parse_atom",
-    "render_atom",
-    "parse_constraints",
-    "attributes_of",
-    "check_same_modality",
-]

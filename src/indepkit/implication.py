@@ -10,10 +10,11 @@ not complete); for possible-only sets that is the containment procedure,
 which gives derivability in I_p without saturation, and for mixed sets it
 is ``derives`` in the disjoint mixed or the full system.  ``implies`` looks
 a single-modality query up in the fragment table of ``rules``
-(``fragment_of``), runs its test and labels the answer with the route;
+(``fragment_of``), runs its test and labels the answer with the route.
 ``implies_ia``, ``implies_cia``, ``implies_pia_star`` and
-``implies_mixed_disjoint`` state the same decisions per fragment, with the
-fragment's precondition checked.
+``implies_mixed_disjoint`` check their fragment's precondition and return
+the verdict of ``implies(..., sound_only=True)``, so each states the same
+decision as ``implies`` by construction.
 
 ``search_counterexample`` hunts for a relation that satisfies every premise
 and violates the goal.  It checks the bounds, then asks the routes of
@@ -55,7 +56,6 @@ from .rules import (
     SYSTEM_DISJOINT_MIXED,
     SYSTEM_FULL,
     SYSTEM_I_P,
-    containment_test,
     derives,
     fragment_of,
     splitting_test,
@@ -86,9 +86,8 @@ def implies_ia(sigma: Iterable[Atom], goal: Atom) -> bool:
     the tuples of r[X] × r[Y].
     """
     premises = list(sigma)
-    check_same_modality(premises, PLAIN, "implies_ia")
-    check_same_modality([goal], PLAIN, "implies_ia")
-    return splitting_test(premises, goal)
+    check_same_modality([*premises, goal], PLAIN, "implies_ia")
+    return implies(premises, goal, sound_only=True).verdict
 
 
 def implies_cia(sigma: Iterable[Atom], goal: Atom) -> bool:
@@ -96,7 +95,7 @@ def implies_cia(sigma: Iterable[Atom], goal: Atom) -> bool:
     the modality-stripped atoms."""
     premises = list(sigma)
     check_same_modality([*premises, goal], CERTAIN, "implies_cia")
-    return splitting_test(premises, goal)
+    return implies(premises, goal, sound_only=True).verdict
 
 
 def implies_pia_star(sigma: Iterable[Atom], goal: Atom) -> bool:
@@ -107,18 +106,19 @@ def implies_pia_star(sigma: Iterable[Atom], goal: Atom) -> bool:
     if not is_pia_star(goal):
         raise FragmentError(
             f"goal {render_atom(goal)!r} is outside the decidable possible "
-            "fragment; use derives() for a sound-only answer"
+            "fragment; use implies(..., sound_only=True) for a sound-only answer"
         )
-    return containment_test(premises, goal)
+    return implies(premises, goal, sound_only=True).verdict
 
 
 def implies_mixed_disjoint(sigma: Iterable[Atom], goal: Atom) -> bool:
-    """Implication for disjoint possible and certain atoms.
+    """Implication for disjoint possible and certain atoms, as ``implies``
+    decides it with ``sound_only`` set.
 
     A certain goal depends only on the certain premises and reduces to the
-    plain problem (complete answer).  For a possible goal the result is
-    derivability in the disjoint mixed system, which is sound but not known
-    to be complete.
+    plain problem (complete answer).  A possible goal gets derivability,
+    which is sound but not known to be complete: the containment test when
+    every atom is possible, else ``derives`` in the disjoint mixed system.
     """
     premises = list(sigma)
     for a in [*premises, goal]:
@@ -129,9 +129,7 @@ def implies_mixed_disjoint(sigma: Iterable[Atom], goal: Atom) -> bool:
                 f"atom {render_atom(a)!r} is not disjoint; only derivability "
                 "is available outside the disjoint fragment"
             )
-    if goal.modality == CERTAIN:
-        return splitting_test([a for a in premises if a.modality == CERTAIN], goal)
-    return derives(premises, goal, SYSTEM_DISJOINT_MIXED) is not None
+    return implies(premises, goal, sound_only=True).verdict
 
 
 @dataclass(frozen=True)

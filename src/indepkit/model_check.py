@@ -89,11 +89,7 @@ def _split_indices(
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """Schema positions of x-only, y-only and shared attributes, in schema order."""
     xset, yset = frozenset(x), frozenset(y)
-    index = schema.index
-    xi = tuple(sorted(map(index, xset - yset)))
-    yi = tuple(sorted(map(index, yset - xset)))
-    oi = tuple(sorted(map(index, xset & yset)))
-    return xi, yi, oi
+    return schema.indices(xset - yset), schema.indices(yset - xset), schema.indices(xset & yset)
 
 
 def _project(rows: Sequence[Sequence[str]], cols: tuple[int, ...]) -> Iterable[tuple]:
@@ -366,18 +362,16 @@ class ProductNetwork(FlowNetwork):
     b_values: tuple[str, ...]
 
 
-def build_flow_network(pairs: dict[tuple, int], names: tuple[str, str]) -> ProductNetwork:
+def build_flow_network(pairs: dict[tuple, int]) -> ProductNetwork:
     """Assignment network for a unary possible atom from the copy counts of its
-    columns' value pairs, the columns named ``names`` in errors.  The items are
-    the cells of the product of the non-null values of the two columns that no
-    complete tuple covers; the slots are the null pools ``(va, *)``, ``(*, vb)``
-    and ``(*, *)``, each holding its tuple copies.  A cell may take a copy from
-    its row pool, its column pool or the wildcard pool."""
+    columns' value pairs.  The items are the cells of the product of the
+    non-null values of the two columns that no complete tuple covers; the
+    slots are the null pools ``(va, *)``, ``(*, vb)`` and ``(*, *)``, each
+    holding its tuple copies.  A cell may take a copy from its row pool, its
+    column pool or the wildcard pool."""
     # a value's first pair comes no later than its first row
     avals = tuple(dict.fromkeys(va for va, _ in pairs if va is not NULL))
     bvals = tuple(dict.fromkeys(vb for _, vb in pairs if vb is not NULL))
-    if not avals or not bvals:
-        raise ValueError(f"column {names[bool(avals)]!r} has no non-null value")
     pools = {key: n for key, n in pairs.items() if key[0] is NULL or key[1] is NULL}
     slot_index = {key: s for s, key in enumerate(pools)}
     cells = [(va, vb) for va in avals for vb in bvals if (va, vb) not in pairs]
@@ -397,7 +391,7 @@ def _pooled_assignment(r: Relation, ia: int, ib: int, fixed: dict[int, str]) -> 
     complete tuple covers takes a distinct copy from a null pool able to
     ground to it.  The network reads only the two columns' value pairs, so
     the pins of the shared columns go to the witness alone."""
-    network = build_flow_network(_weights(r, (ia, ib)), itemgetter(ia, ib)(r.schema.attributes))
+    network = build_flow_network(_weights(r, (ia, ib)))
     avals, bvals = network.a_values, network.b_values
     assignment = max_flow_assignment(network)
     stats = {"target": len(avals) * len(bvals), "missing": len(network.items)}

@@ -200,20 +200,6 @@ class Relation:
         """Total multiplicity."""
         return sum(self.counts)
 
-    def project(self, attributes: Iterable[str]) -> Relation:
-        """Projection onto the given attributes; multiplicities are summed
-        over rows that agree on them, so the total multiplicity is preserved."""
-        idx = self.schema.indices(attributes)
-        sub_schema = Schema(
-            tuple(self.schema.attributes[i] for i in idx),
-            tuple(self.schema.domains[i] for i in idx),
-        )
-        merged: dict[tuple[Cell, ...], int] = {}
-        for row, c in zip(self.rows, self.counts):
-            key = tuple(row[i] for i in idx)
-            merged[key] = merged.get(key, 0) + c
-        return Relation(sub_schema, tuple(merged), tuple(merged.values()))
-
 
 # -- CSV and JSON interchange ---------------------------------------------
 #

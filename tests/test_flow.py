@@ -3,8 +3,6 @@ from __future__ import annotations
 import itertools
 import random
 
-import pytest
-
 from indepkit import NULL, Relation, Schema
 from indepkit.flow import Assignment, FlowNetwork, max_flow_assignment
 from indepkit.model_check import _weights, build_flow_network
@@ -107,7 +105,7 @@ class TestAssignment:
 
 class TestBuildNetwork:
     def test_seven_row_example_shape(self, two_column_seven_rows):
-        net = build_flow_network(_weights(two_column_seven_rows, (0, 1)), ("A", "B"))
+        net = build_flow_network(_weights(two_column_seven_rows, (0, 1)))
         # no complete tuple, so all six product cells are items; the pools
         # are (0,*) twice, (1,*), (*,2), (*,1), (*,0) and (*,*)
         assert sorted(net.items) == [(a, b) for a in "01" for b in "012"]
@@ -122,7 +120,7 @@ class TestBuildNetwork:
         r = Relation.from_rows(
             schema, [*two_column_seven_rows.rows, ("0", "1"), ("1", "2"), ("1", "2")]
         )
-        net = build_flow_network(_weights(r, (0, 1)), ("A", "B"))
+        net = build_flow_network(_weights(r, (0, 1)))
         assert ("0", "1") not in net.items and ("1", "2") not in net.items
         assert len(net.items) == 4
         assert all(len([e for e in net.edges if e[0] == i]) <= 3 for i in range(len(net.items)))
@@ -130,13 +128,7 @@ class TestBuildNetwork:
     def test_all_null_tuple_reaches_every_cell(self):
         schema = Schema(("A", "B"), (("0", "1"), ("0", "1")))
         r = Relation.from_rows(schema, [(NULL, NULL), ("0", "0"), ("1", "1"), ("0", "1")])
-        net = build_flow_network(_weights(r, (0, 1)), ("A", "B"))
+        net = build_flow_network(_weights(r, (0, 1)))
         wildcard = net.slots.index((NULL, NULL))
         assert net.items == (("1", "0"),)
         assert net.edges == ((0, wildcard),)
-
-    def test_preconditions(self):
-        schema = Schema(("A", "B"), (("0", "1"), ("0", "1")))
-        all_null = Relation.from_rows(schema, [(NULL, "0")])
-        with pytest.raises(ValueError, match="'A'"):
-            build_flow_network(_weights(all_null, (0, 1)), ("A", "B"))

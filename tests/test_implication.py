@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import random
@@ -260,6 +261,20 @@ class TestMixedDisjoint:
                 derives(sigma, goal, SYSTEM_DISJOINT_MIXED) is not None
             )
             assert implies_mixed_disjoint(sigma, goal) == expected, (sigma, goal)
+
+    def test_possible_goals_match_disjoint_closure(self):
+        # possible-only sets take the containment test, mixed ones derives
+        for seed, modalities in ((55, (POSSIBLE,)), (56, (CERTAIN, POSSIBLE))):
+            TestSplittingDecider._differential(
+                seed, 150, (3, 4, 5, 6), modalities, SYSTEM_DISJOINT_MIXED,
+                implies_mixed_disjoint, disjoint=True,
+            )
+
+    def test_possible_chain_over_14_attributes(self):
+        # saturation refuses 14 attributes; possible-only sets need none
+        names = [f"A{i}" for i in range(14)]
+        chain = [make_atom(names[:k], [names[k]], POSSIBLE) for k in range(1, 14)]
+        assert implies_mixed_disjoint(chain, make_atom(names[:2], names[2:3], POSSIBLE))
 
 
 class TestImplies:
@@ -536,8 +551,11 @@ class TestOrderlyGeneration:
         real = implication.check_atom
 
         def counting(r, atom, *args, **kwargs):
-            p = r.project(sorted(atom.attributes))
-            seen.append((atom, frozenset(zip(p.rows, p.counts))))
+            idx = r.schema.indices(atom.attributes)
+            projected = collections.Counter()
+            for row, count in zip(r.rows, r.counts):
+                projected[tuple(row[i] for i in idx)] += count
+            seen.append((atom, frozenset(projected.items())))
             return real(r, atom, *args, **kwargs)
 
         candidates = 0

@@ -130,6 +130,36 @@ def backtracking_instance():
     )
 
 
+class TestWeights:
+    """``_weights`` is the projection the checkers read: each distinct
+    pattern on the columns with its summed copy count."""
+
+    def test_running_example(self, table1):
+        assert _weights(table1, table1.schema.indices(["s", "r"])) == {
+            ("not-in-family", "white"): 2,
+            ("in-family", "white"): 1,
+            ("in-family", NULL): 1,
+        }
+
+    def test_all_columns_give_the_rows(self, table1):
+        every = table1.schema.indices(table1.schema.attributes)
+        assert _weights(table1, every) == dict(zip(table1.rows, table1.counts))
+
+    def test_multiplicity_conserved_on_random_relations(self):
+        rng = random.Random(1)
+        for _ in range(50):
+            r = random_relation(rng)
+            attrs = [a for a in r.schema.attributes if rng.random() < 0.5]
+            idx = r.schema.indices(attrs)
+            direct: dict[tuple, int] = {}
+            for row, c in zip(r.rows, r.counts):
+                key = tuple(row[i] for i in idx)
+                direct[key] = direct.get(key, 0) + c
+            weights = _weights(r, idx)
+            assert list(weights.items()) == list(direct.items())
+            assert sum(weights.values()) == r.size
+
+
 class TestCheckIa:
     def test_running_example_status_gender(self, table1):
         assert check_ia(table1, {"s"}, {"g"})

@@ -5,8 +5,6 @@ import re
 import string
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from indepkit import (
     NULL,
@@ -52,47 +50,11 @@ class TestSchema:
         with pytest.raises(SchemaError, match=re.escape(f"attribute {name!r} is a name")):
             binary_schema("B", name)
 
-
-class TestProjection:
-    def test_running_example_projection(self, table1):
-        projected = table1.project(["s", "r"])
-        assert dict(zip(projected.rows, projected.counts)) == {
-            ("not-in-family", "white"): 2,
-            ("in-family", "white"): 1,
-            ("in-family", NULL): 1,
-        }
-
-    def test_identity_projection(self, table1):
-        assert table1.project(table1.schema.attributes) == table1
-
-    def test_multiplicity_conserved_on_random_relations(self):
-        rng = random.Random(1)
-        for _ in range(50):
-            r = random_relation(rng)
-            attrs = [a for a in r.schema.attributes if rng.random() < 0.5]
-            projected = r.project(attrs)
-            # recompute the sums directly from the unprojected rows
-            direct: dict[tuple[str, ...], int] = {}
-            idx = r.schema.indices(attrs)
-            for row, c in zip(r.rows, r.counts):
-                key = tuple(row[i] for i in idx)
-                direct[key] = direct.get(key, 0) + c
-            assert dict(zip(projected.rows, projected.counts)) == direct
-            assert projected.size == r.size
-
-    def test_nested_projection_collapses(self):
-        rng = random.Random(2)
-        for _ in range(25):
-            r = random_relation(rng)
-            attrs = list(r.schema.attributes)
-            rng.shuffle(attrs)
-            outer = attrs[: max(1, len(attrs) - 1)]
-            inner = outer[: max(1, len(outer) - 1)]
-            assert r.project(outer).project(inner) == r.project(inner)
-
-    def test_unknown_attribute(self, table1):
-        with pytest.raises(SchemaError):
-            table1.project(["nope"])
+    def test_indices_are_distinct_positions_in_schema_order(self, table1):
+        assert table1.schema.indices(["s", "a", "s"]) == (0, 2)
+        assert table1.schema.indices([]) == ()
+        with pytest.raises(SchemaError, match="unknown attribute 'nope'"):
+            table1.schema.indices(["s", "nope"])
 
 
 class TestMultiset:
@@ -351,21 +313,3 @@ def _awkward_relation(rng: random.Random, max_count: int, extra: int = 0) -> Rel
         for row in base.rows
     ]
     return Relation.from_rows(schema, rows, base.counts)
-
-
-@given(
-    rows=st.lists(
-        st.tuples(
-            st.sampled_from(["0", "1", NULL]),
-            st.sampled_from(["0", "1", NULL]),
-        ),
-        min_size=0,
-        max_size=6,
-    )
-)
-@settings(max_examples=100, deadline=None)
-def test_projection_conserves_multiplicity_property(rows):
-    schema = Schema(("A", "B"), (("0", "1"), ("0", "1")))
-    r = Relation.from_rows(schema, rows)
-    for attrs in ([], ["A"], ["B"], ["A", "B"]):
-        assert r.project(attrs).size == r.size
