@@ -10,12 +10,14 @@ relation writer, ``_relation_output``, which renders the CSV and the domains
 once for the printed line, the JSON fields and the written files alike.
 
 Each subcommand declares only the flags it reads, and each setting comes from
-its flag or the flag's default; every subcommand takes ``--json``.
+its flag or the flag's default; every subcommand takes ``--json``.  The parser
+is built once per process, on the first call to ``main``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -231,7 +233,8 @@ def _cmd_from_cnf(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="indepkit",
         description="Possible and certain independence over incomplete relations",
@@ -310,8 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (IndepkitError, ValueError, OSError) as exc:

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import argparse
 import csv
 import json
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -559,3 +562,99 @@ class TestConfig:
         data = json.loads(out)
         assert set(data) == {"atom", "verdict", "completeness", "via", "counterexample"}
         assert data["via"] == "certain-as-plain" and data["completeness"] == "complete"
+
+
+def _outcome(capsys, argv, monkeypatch):
+    """Exit code, stdout and stderr of one ``main`` call.  A ``("sys.argv",
+    [...])`` entry calls ``main(None)`` with ``sys.argv`` set to the list."""
+    if argv[:1] == ["sys.argv"]:
+        monkeypatch.setattr(sys, "argv", argv[1])
+        argv = None
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestSharedParser:
+    """``main`` parses with one parser per process, built on its first call."""
+
+    SIGMA = str(DATA / "sigma_certain.txt")
+    CALLS = [
+        ["check", TABLE1, "e _||_p s", "--json"],
+        ["implies", SIGMA, "e _||_c s,g", "--domain-size", "0"],
+        ["check", TABLE1, "e _||_c s", "--exit-status"],
+        ["implies", SIGMA, "e _||_c s", "--domain-size", "1"],
+        ["--help"],
+        ["implies", SIGMA, "e _||_c s,g"],
+        ["check", TABLE1, "e _||_ nope"],
+        ["sys.argv", ["indepkit", "closure", SIGMA, "--universe", "e,s,Q"]],
+        ["closure", SIGMA, "--json"],
+        ["implies", "--help"],
+        ["derive", SIGMA, "e _||_c s,g", "--system", "I_c"],
+        ["sys.argv", ["indepkit", "witness", "exchange-failure", "--grounding", "2"]],
+        ["derive", SIGMA, "e _||_c s,g", "--json"],
+        ["witness", "parity", "--x", "A", "--y", "B", "--pivot", "C"],
+        ["witness", "exchange-failure", "--grounding", "3"],
+        ["from-cnf", str(DATA / "example.cnf"), "--decide", "--json"],
+        ["from-cnf", str(DATA / "example.cnf")],
+        ["check", TABLE1, "e _||_p s", "--max-rows", "9"],
+        ["implies", str(DATA / "sigma_possible.txt"), "e _||_p s,g", "--counterexample", "cx"],
+        ["witness", "pia-family"],
+        [],
+        ["check", TABLE1, "e _||_p s"],
+    ]
+
+    def test_no_state_between_calls(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        fresh = []
+        for argv in self.CALLS:
+            cli._parser.cache_clear()
+            fresh.append(_outcome(capsys, argv, monkeypatch))
+        cli._parser.cache_clear()
+        shared = [_outcome(capsys, argv, monkeypatch) for argv in self.CALLS]
+        assert cli._parser.cache_info().misses == 1
+        codes = {code for code, _, _ in fresh}
+        assert {0, 1, 2, ("SystemExit", 0), ("SystemExit", 2)} <= codes
+        for argv, want, got in zip(self.CALLS, fresh, shared):
+            assert got == want, argv
+
+    def test_built_once(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        cli._parser.cache_clear()
+        for k in range(20):
+            assert main(["check", TABLE1, "e _||_p s" if k % 2 else "e _||_c s"]) == 0
+        capsys.readouterr()
+        assert built.count("indepkit") == 1
+
+    def test_import_builds_no_parser(self):
+        # a fresh interpreter, so the count starts before the module loads
+        src = str(Path(cli.__file__).parents[1])
+        script = (
+            "import argparse, contextlib, io, sys\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(parser, *args, **kwargs):\n"
+            "    built.append(kwargs.get('prog'))\n"
+            "    init(parser, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import indepkit.cli\n"
+            "at_import = len(built), indepkit.cli._parser.cache_info().currsize\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    for _ in range(2):\n"
+            "        indepkit.cli.main(['witness', 'exchange-failure'])\n"
+            "print(*at_import, built.count('indepkit'))\n"
+        )
+        out = subprocess.run([sys.executable, "-I", "-c", script], capture_output=True,
+                             text=True, check=True).stdout
+        assert out.split() == ["0", "0", "1"]
