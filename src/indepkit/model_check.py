@@ -114,25 +114,26 @@ def _weights(r: Relation, cols: tuple[int, ...]) -> dict[tuple, int]:
     return weights
 
 
+def _put(row: Sequence[Cell], cols: Sequence[int], value: Sequence[str]) -> list[Cell]:
+    """A copy of the row with the value placed on the columns."""
+    new = list(row)
+    for j, v in zip(cols, value):
+        new[j] = v
+    return new
+
+
 def _hand_back(r: Relation, cols: tuple[int, ...], hosted: dict, rest: dict) -> list:
     """The witness's (row, copies) parts: each pattern on the columns pops its
     hosted values, last first, onto its rows' copies in row order, one per copy;
     its other copies take its ``rest`` value, or stay unchanged if none has one."""
-
-    def put(row: Sequence[str], value: tuple) -> list[str]:
-        new = list(row)
-        for j, v in zip(cols, value):
-            new[j] = v
-        return new
-
     parts: list[tuple[Sequence[str], int]] = []
     for key, row, count in zip(_project(r.rows, cols), r.rows, r.counts):
         values = hosted.get(key)
         while values and count:
-            parts.append((put(row, values.pop()), 1))
+            parts.append((_put(row, cols, values.pop()), 1))
             count -= 1
         if count:
-            parts.append((put(row, rest[key]) if rest else row, count))
+            parts.append((_put(row, cols, rest[key]) if rest else row, count))
     return parts
 
 
@@ -259,46 +260,65 @@ def _oracle(r: Relation, x: Iterable[str], y: Iterable[str], want: bool) -> Chec
 
     One pass over the rows lists each row's nulls in the atom's columns and
     counts the groundings only until they pass the bound: p >= 2 choices per
-    copy pass it within as many copies as the bound has bits.  A row with
-    such a null becomes one row of count 1 per copy, every other row stays
-    once with its count, and the null cells are assigned in (row, copy,
-    column) order, the last varying fastest."""
+    copy pass it within as many copies as the bound has bits.  The copies of
+    rows with such nulls vary in (row, copy, column) order, the last fastest:
+    a depth-first walk adds each copy's pattern to the distinct patterns,
+    split O, X', Y', and tests each pattern of the last copy by four set
+    lookups.  Groundings a possible atom skips count as examined."""
     xi, yi, oi = _split_indices(r.schema, x, y)
-    layout = oi + xi + yi
-    cols = sorted(layout)
+    layout, o, m = oi + xi + yi, len(oi), len(oi) + len(xi)
     domains = r.schema.domains
-    copies: list[list[str] | tuple[str, ...]] = []
-    counts: list[int] = []
-    cells: list[tuple[int, int]] = []
+    fixed: list[tuple] = []  # the complete rows' patterns, split
+    free: list[list[tuple]] = []  # per free copy, its patterns, split
+    slots: list[tuple] = []  # (row, count, index into free or None), in row order
     n = 1
     for row, c in zip(r.rows, r.counts):
-        nulls = [j for j in cols if row[j] is NULL]
+        nulls = [j for j in sorted(layout) if row[j] is NULL]
         n *= math.prod(len(domains[j]) for j in nulls) ** min(c, ORACLE_BOUND.bit_length())
         if n > ORACLE_BOUND:
             raise OracleInfeasibleError(
                 f"the groundings of the atom's columns are above the oracle bound of {ORACLE_BOUND}"
             )
-        if not nulls:
-            copies.append(row)
-            counts.append(c)
-            continue
-        for _ in range(c):
-            cells.extend((len(copies), j) for j in nulls)
-            copies.append(list(row))
-            counts.append(1)
+        grounded = (_put(row, nulls, v) for v in itertools.product(*(domains[j] for j in nulls)))
+        split = [(t, t[:o], t[o:m], t[m:]) for t in (tuple(g[j] for j in layout) for g in grounded)]
+        slots += [(row, 1, len(free) + k) for k in range(c)] if nulls else [(row, c, None)]
+        if nulls:
+            free += [split] * c
+        else:
+            fixed += split
+    base = [set(col) for col in zip(*fixed)] or [set(), set(), set(), set()]
+    last = free.pop() if free else fixed[:1] or [((), (), (), ())]  # no rows: one empty grounding
+    below = [math.prod(map(len, free[k:])) * len(last) for k in range(len(free) + 1)]
     examined = 0
-    for assignment in itertools.product(*(domains[j] for _, j in cells)):
-        for (k, j), value in zip(cells, assignment):
-            copies[k][j] = value
-        examined += 1
-        if _is_product(_patterns(copies, layout), len(oi), len(oi) + len(xi)) == want:
-            return CheckReport(
-                want,
-                METHOD_ORACLE,
-                stats={"groundings": examined},
-                witness=write_witness(r.schema, zip(copies, counts), {}),
-            )
-    return CheckReport(not want, METHOD_ORACLE, stats={"groundings": examined})
+
+    def walk(k: int, ps: set, os_: set, xs: set, ys: set, path: tuple) -> tuple | None:
+        """The patterns of the first grounding that shows ``want`` after the
+        free copies chose ``path``, or None.  For a possible atom, once the
+        X'Y' pairs missing from the patterns outnumber the copies left, each
+        of which adds at most one pattern, no grounding below is a product."""
+        nonlocal examined
+        if want and (len(os_) > 1 or len(xs) * len(ys) - len(ps) > len(free) - k + 1):
+            examined += below[k]
+            return None
+        if k < len(free):
+            for t, to, tx, ty in free[k]:
+                hit = walk(k + 1, ps | {t}, os_ | {to}, xs | {tx}, ys | {ty}, (*path, t))
+                if hit is not None:
+                    return hit
+            return None
+        for t, to, tx, ty in last:
+            examined += 1
+            ok = len(ps) + (t not in ps) == (len(xs) + (tx not in xs)) * (len(ys) + (ty not in ys))
+            if (ok and len(os_) + (to not in os_) == 1) == want:
+                return (*path, t)
+        return None
+
+    chosen = walk(0, *base, ())
+    if chosen is None:
+        return CheckReport(not want, METHOD_ORACLE, stats={"groundings": examined})
+    parts = [(row, c) if k is None else (_put(row, layout, chosen[k]), 1) for row, c, k in slots]
+    witness = write_witness(r.schema, parts, {})
+    return CheckReport(want, METHOD_ORACLE, {"groundings": examined}, witness)
 
 
 def cia_oracle_report(r: Relation, x: Iterable[str], y: Iterable[str]) -> CheckReport:

@@ -281,6 +281,24 @@ class TestOracles:
                 check_ia(g, x, y) for g in all_groundings
             )
 
+    def test_first_grounding_in_stream_order(self):
+        # the sides cover every column, so the oracle walks the grounding
+        # stream itself: it stops at the first grounding that shows its
+        # verdict, returns it as the witness and counts the ones it examined
+        rng = random.Random(28)
+        for _ in range(60):
+            r = random_relation(rng, grounding_cap=2**8)
+            names = list(r.schema.attributes)
+            cut = rng.randint(0, len(names) - 1)
+            x, y = set(names[: cut + 1]), set(rng.choice([names[cut:], names[cut + 1 :] or names]))
+            stream = groundings(r)
+            for oracle, want in ((check_pia_oracle, True), (cia_oracle_report, False)):
+                report = oracle(r, x, y)
+                hits = [k for k, g in enumerate(stream, 1) if check_ia(g, x, y) == want]
+                assert report.stats == {"groundings": hits[0] if hits else len(stream)}
+                assert report.verdict == (want if hits else not want)
+                assert report.witness == (stream[hits[0] - 1] if hits else None)
+
     def test_bound_counts_only_the_atom_columns(self):
         # 12 nulls in C, outside the atom: 4**12 groundings in all, 1 for A, B
         r = rel(
