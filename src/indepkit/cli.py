@@ -10,8 +10,9 @@ relation writer, ``_relation_output``, which renders the CSV and the domains
 once for the printed line, the JSON fields and the written files alike.
 
 Each subcommand declares only the flags it reads, and each setting comes from
-its flag or the flag's default; every subcommand takes ``--json``.  The parser
-is built once per process, on the first call to ``main``.
+its flag or the flag's default; every subcommand takes ``--json``.  ``witness``
+has one sub-parser per construction, so its flags follow the construction's
+name.  The parser is built once per process, on the first call to ``main``.
 """
 
 from __future__ import annotations
@@ -171,29 +172,6 @@ def _split_names(text: str | None) -> tuple[str, ...]:
     return tuple(name.strip() for name in text.split(",") if name.strip())
 
 
-def _build_witness(args: argparse.Namespace):
-    name = args.name
-    if name == "exchange-failure":
-        if args.grounding:
-            return exchange_failure_groundings()[args.grounding - 1]
-        return exchange_failure_relation()
-    if name == "pia-family":
-        if args.k is None or args.m is None:
-            raise ValueError("pia-family needs --k and --m")
-        return pia_separating_family(args.k, args.m, _split_names(args.extra))
-    if name == "parity":
-        x, y, z = _split_names(args.x), _split_names(args.y), _split_names(args.z)
-        if not x or not y:
-            raise ValueError("parity needs --x and --y attribute lists")
-        return parity_relation(x, y, z, args.pivot)
-    if name == "constancy":
-        universe = _split_names(args.universe)
-        if not args.attr or not universe:
-            raise ValueError("constancy needs --attr and --universe")
-        return constancy_counterexample(args.attr, universe)
-    raise ValueError(f"unknown construction {name!r}")
-
-
 def _relation_output(relation: Relation, out_base: str | None) -> tuple[str, dict]:
     """Render the relation's CSV and domains once.  With a base, write
     BASE.csv and BASE.domains.json and name them in the text line; without,
@@ -212,7 +190,7 @@ def _relation_output(relation: Relation, out_base: str | None) -> tuple[str, dic
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
-    line, fields = _relation_output(_build_witness(args), args.out)
+    line, fields = _relation_output(args.build(args), args.out)
     _emit(args.json, [line], fields)
     return EXIT_OK
 
@@ -286,28 +264,38 @@ def _parser() -> argparse.ArgumentParser:
     p_derive.set_defaults(func=_cmd_derive)
 
     p_witness = sub.add_parser("witness", help="emit a bundled construction as CSV")
-    p_witness.add_argument(
-        "name", help="exchange-failure, pia-family, parity, or constancy"
-    )
-    p_witness.add_argument("--grounding", type=int, choices=(1, 2))
-    p_witness.add_argument("--k", type=int)
-    p_witness.add_argument("--m", type=int)
-    p_witness.add_argument("--extra", help="comma-separated extra attributes")
-    p_witness.add_argument("--x", help="comma-separated first side (parity)")
-    p_witness.add_argument("--y", help="comma-separated second side (parity)")
-    p_witness.add_argument("--z", help="comma-separated extra attributes (parity)")
-    p_witness.add_argument("--pivot", help="pivot attribute (parity)")
-    p_witness.add_argument("--attr", help="varying attribute (constancy)")
-    p_witness.add_argument("--universe", help="comma-separated universe (constancy)")
-    p_witness.add_argument("--out", type=_output_base, help="write BASE.csv and BASE.domains.json")
     p_witness.set_defaults(func=_cmd_witness)
+    kinds = p_witness.add_subparsers(dest="name", required=True)
+    p_exchange = kinds.add_parser("exchange-failure", help="possible independence fails exchange")
+    p_exchange.add_argument("--grounding", type=int, choices=(1, 2))
+    p_exchange.set_defaults(build=lambda a: exchange_failure_groundings()[a.grounding - 1]
+                            if a.grounding else exchange_failure_relation())
+    p_family = kinds.add_parser("pia-family", help="separating family for possible implication")
+    p_family.add_argument("--k", type=int, required=True)
+    p_family.add_argument("--m", type=int, required=True)
+    p_family.add_argument("--extra", type=_split_names, default=(),
+                          help="comma-separated extra attributes")
+    p_family.set_defaults(build=lambda a: pia_separating_family(a.k, a.m, a.extra))
+    p_parity = kinds.add_parser("parity", help="parity relation for mixed implication")
+    p_parity.add_argument("--x", type=_split_names, required=True, help="comma-separated first side")
+    p_parity.add_argument("--y", type=_split_names, required=True, help="comma-separated second side")
+    p_parity.add_argument("--z", type=_split_names, default=(), help="comma-separated extra attributes")
+    p_parity.add_argument("--pivot", help="pivot attribute, from the first side")
+    p_parity.set_defaults(build=lambda a: parity_relation(a.x, a.y, a.z, a.pivot))
+    p_constancy = kinds.add_parser("constancy", help="counterexample to constancy")
+    p_constancy.add_argument("--attr", required=True, help="varying attribute")
+    p_constancy.add_argument("--universe", type=_split_names, required=True,
+                             help="comma-separated universe")
+    p_constancy.set_defaults(build=lambda a: constancy_counterexample(a.attr, a.universe))
 
     p_cnf = sub.add_parser("from-cnf", help="reduce a DIMACS CNF file to a relation")
     p_cnf.add_argument("cnf", help="DIMACS CNF file")
-    p_cnf.add_argument("--out", type=_output_base, help="write BASE.csv and BASE.domains.json")
-    p_cnf.add_argument("--decide", action="store_true", help="also decide satisfiability")
     p_cnf.set_defaults(func=_cmd_from_cnf)
-    for p in sub.choices.values():
+    writers = [p_cnf, *kinds.choices.values()]
+    for p in writers:
+        p.add_argument("--out", type=_output_base, help="write BASE.csv and BASE.domains.json")
+    p_cnf.add_argument("--decide", action="store_true", help="also decide satisfiability")
+    for p in [p_check, p_implies, p_closure, p_derive, *writers]:
         p.add_argument("--json", action="store_true", help="print JSON instead of text")
     return parser
 

@@ -29,6 +29,14 @@ from indepkit.cli import main
 DATA = Path(__file__).parent / "data"
 TABLE1 = str(DATA / "table1.csv")
 
+# each construction's own flags, with a value that makes a valid call
+WITNESS_FLAGS = {
+    "exchange-failure": {"--grounding": "1"},
+    "pia-family": {"--k": "2", "--m": "2", "--extra": "E"},
+    "parity": {"--x": "A", "--y": "B", "--z": "C", "--pivot": "A"},
+    "constancy": {"--attr": "B", "--universe": "B,Z"},
+}
+
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
     code = main(list(argv))
@@ -320,21 +328,65 @@ class TestWitnessAndCnf:
         assert out == relation_to_csv(exchange_failure_groundings()[grounding - 1])
 
     @pytest.mark.parametrize(
-        "argv, message",
+        "argv, code, message",
         [
-            (["pia-family", "--m", "2"], "pia-family needs --k and --m"),
-            (["parity", "--x", "A"], "parity needs --x and --y attribute lists"),
-            (["constancy", "--attr", "B", "--universe", "A"], "'B' must be part of the universe"),
+            (["pia-family", "--m", "2"], ("SystemExit", 2),
+             "the following arguments are required: --k"),
+            (["parity", "--x", "A"], ("SystemExit", 2),
+             "the following arguments are required: --y"),
+            (["constancy", "--attr", "B", "--universe", "A"], 2,
+             "'B' must be part of the universe"),
         ],
         ids=["pia-family-without-k", "parity-without-y", "constancy-attr-outside"],
     )
-    def test_witness_missing_setting_exits_2(self, capsys, argv, message):
-        code, out, err = run(capsys, "witness", *argv)
-        assert (code, out, err) == (2, "", f"error: {message}\n")
+    def test_witness_missing_setting_exits_2(self, capsys, monkeypatch, argv, code, message):
+        # a missing flag is a usage error; a value the library refuses is not
+        got, out, err = _outcome(capsys, ["witness", *argv], monkeypatch)
+        assert (got, out) == (code, "")
+        assert err.endswith(f"error: {message}\n")
+        assert ("usage:" in err) == (code != 2)
 
     def test_unknown_witness_name(self, capsys):
-        code, _, err = run(capsys, "witness", "nope")
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["witness", "nope"])
+        assert exc.value.code == 2
+        assert "argument name: invalid choice: 'nope'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, flag, value",
+        [(name, flag, value) for name in WITNESS_FLAGS
+         for other, flags in WITNESS_FLAGS.items() if other != name
+         for flag, value in flags.items()],
+    )
+    def test_flag_of_another_construction_is_a_usage_error(self, capsys, name, flag, value):
+        own = [part for item in WITNESS_FLAGS[name].items() for part in item]
+        assert main(["witness", name, *own]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["witness", name, *own, flag, value])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert f"unrecognized arguments: {flag} {value}" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["witness", "--json", "exchange-failure"],
+        ["witness", "--out", "o", "exchange-failure"],
+    ])
+    def test_flag_before_the_construction_name_is_a_usage_error(self, capsys, monkeypatch,
+                                                                tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2 and capsys.readouterr().out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name", list(WITNESS_FLAGS))
+    def test_construction_help_lists_its_own_flags(self, capsys, name):
+        with pytest.raises(SystemExit) as exc:
+            main(["witness", name, "-h"])
+        assert exc.value.code == 0
+        listed = re.findall(r"^  (?:-h, )?(--[a-z][\w-]*)", capsys.readouterr().out, re.M)
+        assert sorted(listed) == sorted([*WITNESS_FLAGS[name], "--help", "--out", "--json"])
 
     def test_from_cnf_decides(self, capsys):
         code, out, _ = run(
@@ -603,6 +655,8 @@ class TestSharedParser:
         ["check", TABLE1, "e _||_p s", "--max-rows", "9"],
         ["implies", str(DATA / "sigma_possible.txt"), "e _||_p s,g", "--counterexample", "cx"],
         ["witness", "pia-family"],
+        ["witness", "constancy", "--attr", "B", "--universe", "B,Z", "--x", "A"],
+        ["witness", "parity", "-h"],
         [],
         ["check", TABLE1, "e _||_p s"],
     ]
