@@ -142,7 +142,7 @@ def _read_constraints(path: str) -> list[Atom]:
 def _cmd_closure(args: argparse.Namespace) -> int:
     premises = _read_constraints(args.constraints)
     system = system_by_name(args.system) if args.system else fragment_of(premises)[0]
-    atoms = sorted(closure(premises, system, _split_names(args.universe)), key=render_atom)
+    atoms = sorted(closure(premises, system, args.universe), key=render_atom)
     unicode_ops = _unicode_ok()
     lines = [f"{len(atoms)} atoms in the {system.name} closure"]
     lines += ["  " + render_atom(a, unicode_ops=unicode_ops) for a in atoms]
@@ -166,9 +166,7 @@ def _cmd_derive(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _split_names(text: str | None) -> tuple[str, ...]:
-    if not text:
-        return ()
+def _split_names(text: str) -> tuple[str, ...]:
     return tuple(name.strip() for name in text.split(",") if name.strip())
 
 
@@ -254,7 +252,8 @@ def _parser() -> argparse.ArgumentParser:
     p_closure = sub.add_parser("closure", help="print the closure of a constraint file")
     p_closure.add_argument("constraints")
     p_closure.add_argument("--system", help="I, I_c, I_p, J_pc, full, or disjoint-mixed")
-    p_closure.add_argument("--universe", help="comma-separated attribute universe")
+    p_closure.add_argument("--universe", type=_split_names, default=(),
+                           help="comma-separated attribute universe")
     p_closure.set_defaults(func=_cmd_closure)
 
     p_derive = sub.add_parser("derive", help="print a derivation of an atom")

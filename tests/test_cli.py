@@ -343,8 +343,10 @@ class TestWitnessAndCnf:
         # a missing flag is a usage error; a value the library refuses is not
         got, out, err = _outcome(capsys, ["witness", *argv], monkeypatch)
         assert (got, out) == (code, "")
-        assert err.endswith(f"error: {message}\n")
-        assert ("usage:" in err) == (code != 2)
+        if code == 2:
+            assert err == f"error: {message}\n"
+        else:
+            assert err.endswith(f"error: {message}\n") and "usage:" in err
 
     def test_unknown_witness_name(self, capsys):
         with pytest.raises(SystemExit) as exc:
